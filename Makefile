@@ -1,7 +1,7 @@
 # Developer / CI targets. `make check` is the full gate: build, vet, the
 # tier-1 test suite, the race detector over the concurrent packages, a
-# short run of every fuzz target, the documentation lint, and a one-shot
-# smoke run of the streaming-build benchmarks.
+# short run of every fuzz target, the documentation lint, and the chaos
+# suites.
 
 GO ?= go
 
@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 5s
 
 .PHONY: build test vet race fuzz bench bench-convert bench-map bench-serve \
-	bench-recrawl bench-shard bench-stream-short docs-lint chaos chaos-drift \
+	bench-recrawl bench-shard docs-lint chaos chaos-drift \
 	chaos-serve scale-smoke coverage check ci-test ci-race-chaos ci-fuzz-docs
 
 # Packages whose statement coverage is gated in CI (the convert hot path
@@ -61,14 +61,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMinePaths -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzFoldSubtract -fuzztime $(FUZZTIME) ./internal/schema/
 
-# E1-E5 micro/macro benchmarks plus metrics snapshots of the full batch
-# pipeline (experiment E8 -> BENCH_pipeline.json) and the streaming
-# crawl-and-build comparison (experiment E9 -> BENCH_stream.json), both
-# written through the observability layer.
+# E1-E5 micro/macro benchmarks plus a metrics snapshot of the full batch
+# pipeline (experiment E8 -> BENCH_pipeline.json), written through the
+# observability layer.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 	$(GO) run ./cmd/webrev experiments -run E8 -docs 100 -seed 1 -metrics BENCH_pipeline.json
-	$(GO) run ./cmd/webrev experiments -run E9 -docs 200 -seed 1 -metrics BENCH_stream.json
 
 # Convert-stage throughput snapshot: runs the hot-path benchmarks (3
 # repeats, min kept) and writes BENCH_convert.json with commit/platform
@@ -108,12 +106,6 @@ coverage:
 	$(GO) test -coverprofile .cover/cover.out -covermode atomic $(addprefix ./,$(subst webrev/,,$(COVER_PKGS)))
 	$(GO) run ./cmd/covercheck -profile .cover/cover.out -floor $(COVER_FLOOR) $(COVER_ARGS)
 
-# One iteration of the batch-vs-streaming build benchmarks over a small
-# corpus: proves the streaming path still runs end to end without paying
-# for full benchmark statistics (the `make check` smoke leg).
-bench-stream-short:
-	$(GO) test -run '^$$' -bench 'Benchmark(Batch|Stream)Build' -benchtime 1x -short .
-
 # Documentation gate: every package needs a package comment and every
 # exported identifier of the webrev facade needs a doc comment.
 docs-lint:
@@ -122,10 +114,10 @@ docs-lint:
 # Fault-isolation gate: inject panics, errors and delays into the convert
 # and map stages of both build paths and require the build to finish with
 # the failures quarantined and the surviving output byte-identical to a
-# clean run; also kills and resumes a checkpointed streaming build. See
-# ARCHITECTURE.md, "Failure domains & recovery".
+# clean run; also cancels, kills and resumes a checkpointed sharded build.
+# See ARCHITECTURE.md, "Failure domains & recovery".
 chaos:
-	$(GO) test -short -run 'TestChaos|TestBuildStreamCheckpoint' ./internal/core/
+	$(GO) test -short -run 'TestChaos|TestBuildShardedCheckpoint' ./internal/core/
 
 # Continuous-operation chaos gate: a seeded template-mutation sweep
 # rewrites ~20% of a site's templates mid-watch; the next cycle must detect
@@ -200,6 +192,6 @@ ci-test: build vet test
 
 ci-race-chaos: race chaos chaos-drift chaos-serve
 
-ci-fuzz-docs: fuzz docs-lint bench-stream-short
+ci-fuzz-docs: fuzz docs-lint
 
-check: build vet test race fuzz docs-lint chaos chaos-drift chaos-serve bench-stream-short
+check: build vet test race fuzz docs-lint chaos chaos-drift chaos-serve

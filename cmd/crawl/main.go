@@ -14,19 +14,16 @@
 //	crawl [-n 30] [-distractors 10] [-seed 1] [-workers 8]
 //	      [-timeout 10s] [-retries 2] [-max-pages 0] [-max-failures 0]
 //	      [-fault-rate 0] [-fault-seed 1]
-//	      [-stream] [-inflight 0] [-checkpoint dir] [-quarantine dir]
-//	      [-metrics snap.json] [-pprof addr]
+//	      [-build dir] [-quarantine dir] [-metrics snap.json] [-pprof addr]
 //
-// With -stream the crawl feeds the full pipeline as it runs (crawl-and-
-// build): on-topic pages stream through conversion and mergeable schema
-// statistics while the crawler is still fetching, the DTD is derived once
-// the crawl ends, and the conformed repository is reported — without ever
-// materializing the intermediate corpus. -inflight caps how many documents
-// the streaming build holds at once (its backpressure bound; 0 picks the
-// default of 4x the conversion workers). With -checkpoint DIR the
-// streaming build snapshots its state there and a rerun after Ctrl-C
-// resumes instead of restarting; -quarantine DIR persists documents the
-// build dropped, for `webrev quarantine`. See ARCHITECTURE.md.
+// With -build DIR the crawl feeds the full pipeline (crawl-then-build):
+// once the crawl ends, its on-topic pages run through the sharded,
+// disk-backed build in DIR — conversion, schema mining, DTD derivation and
+// conformance mapping — and the result is reported. The repository lands
+// in DIR/final, which repository.LoadDisk opens. The shards checkpoint as
+// they go, so a rerun over the same DIR after Ctrl-C resumes instead of
+// restarting. -quarantine DIR persists documents the build dropped, for
+// `webrev quarantine`. See ARCHITECTURE.md.
 //
 // -metrics FILE writes a JSON snapshot of the run's stage timing and
 // counters (the same format the pipeline's observability layer emits);
@@ -42,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -49,7 +47,7 @@ import (
 	"webrev/internal/core"
 	"webrev/internal/corpus"
 	"webrev/internal/crawler"
-	"webrev/internal/crawler/faultinject"
+	"webrev/internal/faultinject"
 	"webrev/internal/obs"
 )
 
@@ -64,9 +62,7 @@ type options struct {
 	maxFailures int
 	faultRate   float64
 	faultSeed   int64
-	stream      bool
-	inFlight    int
-	checkpoint  string
+	buildDir    string
 	quarantine  string
 	metricsOut  string
 	pprofAddr   string
@@ -84,9 +80,7 @@ func main() {
 	flag.IntVar(&o.maxFailures, "max-failures", 0, "error budget: stop after this many failed URLs (0 = unlimited)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0, "inject transient faults on this fraction of paths (demo)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed")
-	flag.BoolVar(&o.stream, "stream", false, "crawl-and-build: stream on-topic pages through the full pipeline while crawling")
-	flag.IntVar(&o.inFlight, "inflight", 0, "streaming build's in-flight document cap (0 = 4x conversion workers)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "with -stream: snapshot build state to this directory and resume from it on rerun")
+	flag.StringVar(&o.buildDir, "build", "", "crawl-then-build: run the sharded build over the on-topic pages in this directory (resumes on rerun)")
 	flag.StringVar(&o.quarantine, "quarantine", "", "persist documents the build quarantined to this directory (see `webrev quarantine`)")
 	flag.StringVar(&o.metricsOut, "metrics", "", "write a JSON metrics snapshot of the crawl to this file")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve /debug/pprof, /debug/vars and /metrics on this address during the crawl")
@@ -136,7 +130,7 @@ func run(ctx context.Context, o options) error {
 
 	coll := obs.NewCollector()
 	var tr obs.Tracer
-	if o.metricsOut != "" || o.pprofAddr != "" || o.stream {
+	if o.metricsOut != "" || o.pprofAddr != "" || o.buildDir != "" {
 		tr = coll
 	}
 	if o.pprofAddr != "" {
@@ -169,8 +163,8 @@ func run(ctx context.Context, o options) error {
 		fmt.Printf("wrote metrics snapshot to %s\n", o.metricsOut)
 		return nil
 	}
-	if o.stream {
-		if err := runStream(ctx, o, c, seedURL, coll); err != nil {
+	if o.buildDir != "" {
+		if err := runBuild(ctx, o, c, seedURL, coll); err != nil {
 			return err
 		}
 		if inj != nil {
@@ -209,45 +203,46 @@ func run(ctx context.Context, o options) error {
 	return writeMetrics()
 }
 
-// runStream is the crawl-and-build path: the crawler's on-topic pages feed
-// the streaming pipeline while the crawl is still running, so no
-// intermediate corpus is ever materialized.
-func runStream(ctx context.Context, o options, c *crawler.Crawler, seedURL string, coll *obs.Collector) error {
+// runBuild is the crawl-then-build path: the crawler's on-topic pages,
+// sorted by URL so a rerun sees the same input order, feed the sharded
+// disk-backed build in o.buildDir. A rerun over the same directory resumes
+// from the shards' checkpoints.
+func runBuild(ctx context.Context, o options, c *crawler.Crawler, seedURL string, coll *obs.Collector) error {
 	p, err := core.New(core.Config{
 		Concepts:      concept.ResumeConcepts(),
 		Constraints:   concept.ResumeConstraints(),
 		RootName:      "resume",
-		MaxInFlight:   o.inFlight,
 		Tracer:        coll,
-		CheckpointDir: o.checkpoint,
 		QuarantineDir: o.quarantine,
 	})
 	if err != nil {
 		return err
 	}
-	src, wait := core.AcquireStream(ctx, c, seedURL)
-	repo, buildErr := p.BuildStream(ctx, src)
-	rep, crawlErr := wait()
+	sources, rep, err := core.Acquire(ctx, c, seedURL)
 	fmt.Printf("report: %s\n", rep)
-	if crawlErr != nil {
-		fmt.Printf("crawl ended early: %v\n", crawlErr)
+	if err != nil {
+		fmt.Printf("crawl ended early: %v\n", err)
+		if ctx.Err() != nil {
+			return nil
+		}
 	}
-	if buildErr != nil {
-		fmt.Printf("streaming build ended early: %v\n", buildErr)
+	sort.Slice(sources, func(i, j int) bool { return sources[i].Name < sources[j].Name })
+	res, err := p.BuildSharded(ctx, sources, core.ShardOptions{Dir: o.buildDir})
+	if err != nil {
+		fmt.Printf("build ended early: %v\n", err)
 		return nil
 	}
+	defer res.Repo.Store().Close()
 	snap := coll.Snapshot()
-	fmt.Printf("crawled and built %d on-topic documents; schema %d paths; DTD %d elements\n",
-		len(repo.Docs), len(repo.Schema.Paths()), repo.DTD.Len())
-	if len(repo.Quarantined) > 0 {
+	fmt.Printf("crawled %d on-topic documents; built %d into %s; schema %d paths; DTD %d elements\n",
+		len(sources), res.Repo.Len(), filepath.Join(o.buildDir, "final"), len(res.Schema.Paths()), res.DTD.Len())
+	if len(res.Quarantined) > 0 {
 		fmt.Printf("quarantined %d of %d documents (failure ratio %.1f%%)\n",
-			len(repo.Quarantined), repo.TotalInput, repo.FailureRatio()*100)
+			len(res.Quarantined), res.TotalInput, res.FailureRatio()*100)
 	}
-	fmt.Printf("peak in-flight documents %d (cap %d); %d statistic shards merged\n",
-		snap.Gauges[obs.GaugeStreamInFlightPeak], o.inFlight, snap.Gauges[obs.GaugeStreamShards])
-	fmt.Printf("pre-mapping conformance %.1f%%, total mapping cost %d edits\n",
-		repo.ConformanceRate()*100, repo.TotalMapCost())
+	fmt.Printf("%d shards merged (%d resumed); total mapping cost %d edits\n",
+		snap.Gauges[obs.GaugeStreamShards], snap.Counters[obs.CtrShardsResumed], res.TotalMapCost)
 	fmt.Print(snap.Summary())
-	fmt.Print(repo.DTD.Render())
+	fmt.Print(res.DTD.Render())
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"webrev/internal/obs"
+	"webrev/internal/repository"
 )
 
 func baseOptions() options {
@@ -62,40 +63,64 @@ func TestRunCrawlDemoWithFaults(t *testing.T) {
 	}
 }
 
-func TestRunCrawlDemoStream(t *testing.T) {
+func TestRunCrawlDemoBuild(t *testing.T) {
 	o := baseOptions()
-	o.stream = true
-	o.inFlight = 3
-	o.metricsOut = filepath.Join(t.TempDir(), "stream.json")
+	o.buildDir = t.TempDir()
+	o.metricsOut = filepath.Join(t.TempDir(), "build.json")
+	readSnap := func() *obs.Snapshot {
+		t.Helper()
+		f, err := os.Open(o.metricsOut)
+		if err != nil {
+			t.Fatalf("metrics snapshot not written: %v", err)
+		}
+		defer f.Close()
+		snap, err := obs.ReadSnapshot(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(o.metricsOut)
-	if err != nil {
-		t.Fatalf("metrics snapshot not written: %v", err)
-	}
-	defer f.Close()
-	snap, err := obs.ReadSnapshot(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The streaming build ran the whole pipeline inside the crawl.
+	snap := readSnap()
+	// The crawl fed the whole pipeline through the sharded build.
 	if snap.Counters[obs.CtrDocsConverted] != 5 {
 		t.Fatalf("docs.converted = %d, want 5", snap.Counters[obs.CtrDocsConverted])
 	}
-	if peak := snap.Gauges[obs.GaugeStreamInFlightPeak]; peak < 1 || peak > 3 {
-		t.Fatalf("peak in-flight = %d, want within (0, 3]", peak)
+	if shards := snap.Gauges[obs.GaugeStreamShards]; shards < 1 {
+		t.Fatalf("shards gauge = %d, want >= 1", shards)
 	}
-	if snap.Stages[obs.StageMerge].Count != 1 {
+	if snap.Stages[obs.StageShardMerge].Count != 1 {
 		t.Fatalf("merge stage not recorded: %v", snap.Stages)
+	}
+	repo, err := repository.LoadDisk(filepath.Join(o.buildDir, "final"), repository.DiskOptions{})
+	if err != nil {
+		t.Fatalf("built repository does not load: %v", err)
+	}
+	if repo.Len() != 5 {
+		t.Fatalf("built repository holds %d documents, want 5", repo.Len())
+	}
+	repo.Store().Close()
+
+	// A rerun over the same directory resumes every shard's checkpoint.
+	if err := run(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	snap = readSnap()
+	if snap.Counters[obs.CtrShardsResumed] != snap.Gauges[obs.GaugeStreamShards] {
+		t.Fatalf("rerun resumed %d of %d shards", snap.Counters[obs.CtrShardsResumed], snap.Gauges[obs.GaugeStreamShards])
+	}
+	if snap.Counters[obs.CtrDocsConverted] != 0 {
+		t.Fatalf("rerun reconverted %d documents, want 0", snap.Counters[obs.CtrDocsConverted])
 	}
 }
 
-func TestRunCrawlDemoStreamCanceled(t *testing.T) {
+func TestRunCrawlDemoBuildCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	o := baseOptions()
-	o.stream = true
+	o.buildDir = t.TempDir()
 	// Like the batch demo, cancellation reports partial progress instead of
 	// failing the command.
 	if err := run(ctx, o); err != nil {

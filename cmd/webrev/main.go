@@ -457,9 +457,9 @@ func cmdQuarantine(args []string, w io.Writer) error {
 // cmdWatch runs the continuous-operation loop: recrawl the seed site every
 // interval, fold page deltas into the accumulator, rebuild incrementally,
 // and print (and optionally write) each cycle's drift report. With
-// -checkpoint the state survives restarts — a streaming-build checkpoint
-// (`webrev build -out DIR` is not one, but internal/core's BuildStream
-// checkpoint is) migrates into the watch format on first load.
+// -checkpoint the state survives restarts; a legacy version-1 checkpoint
+// directory, which nothing writes any more, still migrates into the watch
+// format on first load.
 func cmdWatch(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	seed := fs.String("seed", "", "seed URL every cycle starts from (required)")
@@ -547,7 +547,7 @@ func cmdWatch(args []string, w io.Writer) error {
 
 func cmdExperiments(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	run := fs.String("run", "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E12,E13,E14", "comma-separated experiment ids")
+	run := fs.String("run", "E1,E2,E3,E4,E5,E6,E7,E8,E10,E12,E13,E14", "comma-separated experiment ids")
 	docs := fs.Int("docs", 0, "override corpus size (0 = per-experiment default)")
 	seed := fs.Int64("seed", 1, "corpus seed")
 	metricsOut, pprofAddr := obsFlags(fs)
@@ -598,21 +598,6 @@ func cmdExperiments(args []string, w io.Writer) error {
 			return err
 		}
 		r, err := experiments.RunStageMetrics(n(100), *seed, coll)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Report())
-		if err := finish(); err != nil {
-			return err
-		}
-	}
-	if want["E9"] {
-		coll := obs.NewCollector()
-		finish, err := startObs(coll, *metricsOut, *pprofAddr, w)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.RunStreamComparison(n(100), *seed, coll)
 		if err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ const defaultMemoSize = 4096
 // log priors and per-token log-likelihoods are precomputed once, so
 // classification is pure table lookups and additions — no math.Log on the
 // hot path. A Frozen is safe for concurrent use and is shared across all
-// worker shards of a build (both the batch and streaming paths), together
+// worker shards of a build (both the batch and sharded paths), together
 // with its token memo: a repeated token costs one cache probe.
 //
 // Scores are bit-identical to Classifier.Classify: the tables store the

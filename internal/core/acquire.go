@@ -22,45 +22,3 @@ func Acquire(ctx context.Context, c *crawler.Crawler, seed string) ([]Source, *c
 	}
 	return sources, rep, err
 }
-
-// AcquireStream is the streaming form of Acquire: it starts the crawl in
-// the background and returns a channel of on-topic Sources in crawl order,
-// fit to feed straight into Pipeline.BuildStream so conversion and schema
-// statistics overlap the crawl instead of waiting behind it. The channel's
-// sends are unbuffered: when the consumer is at its in-flight cap the crawl
-// itself blocks (backpressure end to end), so no intermediate corpus is
-// ever materialized.
-//
-// The channel closes when the crawl ends for any reason. wait blocks until
-// then and returns the crawl's Report and error — call it after the
-// consumer has drained the channel. If ctx ends, both the crawl and any
-// blocked send stop.
-func AcquireStream(ctx context.Context, c *crawler.Crawler, seed string) (src <-chan Source, wait func() (*crawler.Report, error)) {
-	out := make(chan Source)
-	type crawlEnd struct {
-		rep *crawler.Report
-		err error
-	}
-	end := make(chan crawlEnd, 1)
-	go func() {
-		rep, err := c.CrawlTo(ctx, seed, func(p crawler.Page) {
-			if !p.OnTopic {
-				return
-			}
-			select {
-			case out <- Source{Name: p.URL, HTML: p.HTML}:
-			case <-ctx.Done():
-				// The crawl notices the cancellation at its next budget
-				// check; dropping the send keeps this emit from deadlocking
-				// against a consumer that already gave up.
-			}
-		})
-		close(out)
-		end <- crawlEnd{rep, err}
-	}()
-	return out, func() (*crawler.Report, error) {
-		e := <-end
-		end <- e // wait may be called more than once
-		return e.rep, e.err
-	}
-}

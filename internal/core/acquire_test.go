@@ -9,7 +9,7 @@ import (
 
 	"webrev/internal/corpus"
 	"webrev/internal/crawler"
-	"webrev/internal/crawler/faultinject"
+	"webrev/internal/faultinject"
 )
 
 func TestAcquire(t *testing.T) {
@@ -86,5 +86,34 @@ func TestAcquireCanceled(t *testing.T) {
 	}
 	if rep == nil || !rep.Canceled {
 		t.Fatalf("report missing cancellation: %v", rep)
+	}
+}
+
+// TestAcquireFeedsBuildSharded wires acquisition into the sharded build
+// over the in-memory site and checks it matches the batch crawl-then-build
+// result.
+func TestAcquireFeedsBuildSharded(t *testing.T) {
+	g := corpus.New(corpus.Options{Seed: 31})
+	site := crawler.BuildSite(g.Corpus(12), []string{g.Distractor(), g.Distractor()})
+	srv := httptest.NewServer(site.Handler())
+	defer srv.Close()
+
+	sources, rep, err := Acquire(context.Background(), &crawler.Crawler{Workers: 4, Filter: crawler.ResumeFilter(3)}, srv.URL+"/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fetched != site.PageCount() {
+		t.Fatalf("crawl fetched %d of %d", rep.Fetched, site.PageCount())
+	}
+	res, err := resumePipeline(t).BuildSharded(context.Background(), sources, ShardOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Repo.Store().Close()
+	if res.Repo.Len() != 12 {
+		t.Fatalf("built %d docs, want the 12 on-topic resumes", res.Repo.Len())
+	}
+	if renderDiskRepo(t, res.Repo) != renderDiskRepo(t, singleProcessRepo(t, sources)) {
+		t.Fatal("sharded crawl-then-build differs from batch crawl-then-build")
 	}
 }

@@ -22,7 +22,7 @@ func convertOne(t *testing.T, p *Pipeline, s Source) *Document {
 // every document in corpus order, then mapping through BuildFromStats, is
 // byte-identical to the cold batch build of the same sources.
 func TestBuildFromStatsMatchesBuild(t *testing.T) {
-	sources := streamSources(20, 17)
+	sources := corpusSources(20, 17)
 	cold, err := resumePipeline(t).Build(sources)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestBuildFromStatsMatchesBuild(t *testing.T) {
 // new) applied to a maintained accumulator via Subtract/Add, BuildFromStats
 // matches a cold build of the final corpus state byte for byte.
 func TestBuildFromStatsIncremental(t *testing.T) {
-	base := streamSources(20, 17)
-	repl := streamSources(3, 99)
+	base := corpusSources(20, 17)
+	repl := corpusSources(3, 99)
 
 	p := resumePipeline(t)
 	acc := schema.NewDeltaAccumulator(0)
@@ -113,7 +113,7 @@ func TestBuildFromStatsValidation(t *testing.T) {
 	if _, err := p.BuildFromStats(context.Background(), nil, schema.NewDeltaAccumulator(0)); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
-	s := streamSources(2, 5)
+	s := corpusSources(2, 5)
 	d := convertOne(t, p, s[0])
 	acc := schema.NewDeltaAccumulator(0)
 	acc.Add(0, p.ExtractPaths(d))

@@ -1,8 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"context"
+	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,30 +14,30 @@ import (
 	"webrev/internal/obs"
 )
 
-// chaosSources is streamSources with source names made unique (the corpus
+// chaosSources is corpusSources with source names made unique (the corpus
 // generator can repeat person names): fault placement, quarantine-store
 // entries, and per-key fault budgets are all keyed by source name, so
 // chaos tests need distinct keys to count deterministically.
 func chaosSources(n int, seed int64) []Source {
-	sources := streamSources(n, seed)
+	sources := corpusSources(n, seed)
 	for i := range sources {
 		sources[i].Name = fmt.Sprintf("doc-%03d-%s", i, sources[i].Name)
 	}
 	return sources
 }
 
-// chaosConfig is streamConfig plus a stage fault injector.
+// chaosConfig is testConfig plus a stage fault injector.
 func chaosConfig(inject *faultinject.Stage, tr obs.Tracer) Config {
-	cfg := streamConfig(tr, 4, 8)
+	cfg := testConfig(tr, 4)
 	cfg.Inject = inject
 	return cfg
 }
 
 // quarantinedNames collects the source names of a build's quarantine
 // report.
-func quarantinedNames(r *Repository) map[string]bool {
-	out := make(map[string]bool, len(r.Quarantined))
-	for _, rec := range r.Quarantined {
+func quarantinedNames(recs []FailureRecord) map[string]bool {
+	out := make(map[string]bool, len(recs))
+	for _, rec := range recs {
 		out[rec.URL] = true
 	}
 	return out
@@ -86,7 +88,7 @@ func TestChaosBuildConvertPanics(t *testing.T) {
 		t.Fatalf("docs %d + quarantined %d != input %d", len(repo.Docs), len(repo.Quarantined), len(sources))
 	}
 
-	clean, err := resumePipeline(t).Build(survivorsOf(sources, quarantinedNames(repo)))
+	clean, err := resumePipeline(t).Build(survivorsOf(sources, quarantinedNames(repo.Quarantined)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +97,11 @@ func TestChaosBuildConvertPanics(t *testing.T) {
 	}
 }
 
-// TestChaosBuildStreamConvertPanics is the streaming counterpart: panics
-// in the conversion workers quarantine documents without breaking the
-// stream, and the surviving output matches a clean batch build over the
+// TestChaosBuildShardedConvertPanics is the sharded counterpart: panics
+// in the shard conversion workers quarantine documents without breaking the
+// build, and the surviving output matches a clean batch build over the
 // survivors.
-func TestChaosBuildStreamConvertPanics(t *testing.T) {
+func TestChaosBuildShardedConvertPanics(t *testing.T) {
 	sources := chaosSources(60, 21)
 	inject := faultinject.NewStage(faultinject.StageConfig{
 		Seed:   1,
@@ -110,22 +112,20 @@ func TestChaosBuildStreamConvertPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := p.BuildStream(context.Background(), SourceChan(sources))
+	res, err := p.BuildSharded(context.Background(), sources, ShardOptions{Shards: 4, Dir: t.TempDir()})
 	if err != nil {
-		t.Fatalf("chaos stream build failed outright: %v", err)
+		t.Fatalf("chaos sharded build failed outright: %v", err)
 	}
+	defer res.Repo.Store().Close()
 	if inject.Total() < 6 {
 		t.Fatalf("injector fired %d faults, want >= 6", inject.Total())
 	}
-	if len(repo.Quarantined) != inject.Total() {
-		t.Fatalf("quarantined %d documents, injector fired %d", len(repo.Quarantined), inject.Total())
+	if len(res.Quarantined) != inject.Total() {
+		t.Fatalf("quarantined %d documents, injector fired %d", len(res.Quarantined), inject.Total())
 	}
-	clean, err := resumePipeline(t).Build(survivorsOf(sources, quarantinedNames(repo)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderRepo(repo) != renderRepo(clean) {
-		t.Fatal("chaos stream's surviving output differs from a clean build over the survivors")
+	clean := singleProcessRepo(t, survivorsOf(sources, quarantinedNames(res.Quarantined)))
+	if renderDiskRepo(t, res.Repo) != renderDiskRepo(t, clean) {
+		t.Fatal("chaos sharded build's surviving output differs from a clean build over the survivors")
 	}
 }
 
@@ -143,39 +143,58 @@ func TestChaosMapStageFaults(t *testing.T) {
 			Stages: []string{obs.StageMap},
 		})
 	}
-	run := func(name string, build func(p *Pipeline) (*Repository, error)) {
+	// run checks one build path; build returns how many documents the
+	// path kept plus its quarantine report.
+	run := func(name string, build func(p *Pipeline) (kept int, quarantined []FailureRecord, err error)) {
 		inject := newInjector()
 		p, err := New(chaosConfig(inject, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		repo, err := build(p)
+		kept, quarantined, err := build(p)
 		if err != nil {
 			t.Fatalf("%s failed outright: %v", name, err)
 		}
 		if inject.Total() < 4 { // 10% of 40
 			t.Fatalf("%s: injector fired %d faults, want >= 4", name, inject.Total())
 		}
-		if len(repo.Quarantined) != inject.Total() {
-			t.Fatalf("%s: quarantined %d, injector fired %d", name, len(repo.Quarantined), inject.Total())
+		if len(quarantined) != inject.Total() {
+			t.Fatalf("%s: quarantined %d, injector fired %d", name, len(quarantined), inject.Total())
 		}
-		for _, rec := range repo.Quarantined {
+		for _, rec := range quarantined {
 			if rec.Stage != obs.StageMap {
 				t.Fatalf("%s: unexpected quarantine stage: %+v", name, rec)
 			}
 		}
-		if len(repo.Docs) != len(repo.Conformed) || len(repo.Docs) != len(repo.MapStats) {
-			t.Fatalf("%s: arrays misaligned: %d docs, %d conformed, %d stats",
-				name, len(repo.Docs), len(repo.Conformed), len(repo.MapStats))
-		}
-		if len(repo.Docs)+len(repo.Quarantined) != len(sources) {
+		if kept+len(quarantined) != len(sources) {
 			t.Fatalf("%s: docs %d + quarantined %d != input %d",
-				name, len(repo.Docs), len(repo.Quarantined), len(sources))
+				name, kept, len(quarantined), len(sources))
 		}
 	}
-	run("Build", func(p *Pipeline) (*Repository, error) { return p.Build(sources) })
-	run("BuildStream", func(p *Pipeline) (*Repository, error) {
-		return p.BuildStream(context.Background(), SourceChan(sources))
+	run("Build", func(p *Pipeline) (int, []FailureRecord, error) {
+		repo, err := p.Build(sources)
+		if err != nil {
+			return 0, nil, err
+		}
+		if len(repo.Docs) != len(repo.Conformed) || len(repo.Docs) != len(repo.MapStats) {
+			t.Fatalf("Build: arrays misaligned: %d docs, %d conformed, %d stats",
+				len(repo.Docs), len(repo.Conformed), len(repo.MapStats))
+		}
+		return len(repo.Docs), repo.Quarantined, nil
+	})
+	run("BuildSharded", func(p *Pipeline) (int, []FailureRecord, error) {
+		res, err := p.BuildSharded(context.Background(), sources, ShardOptions{Shards: 3, Dir: t.TempDir()})
+		if err != nil {
+			return 0, nil, err
+		}
+		defer res.Repo.Store().Close()
+		quarantined := quarantinedNames(res.Quarantined)
+		for _, name := range res.Repo.Names() {
+			if quarantined[name] {
+				t.Fatalf("BuildSharded: %s is both stored and quarantined", name)
+			}
+		}
+		return res.Repo.Len(), res.Quarantined, nil
 	})
 }
 
@@ -306,86 +325,85 @@ func TestChaosQuarantineStore(t *testing.T) {
 	}
 }
 
-// TestBuildStreamCheckpointResume is the crash-recovery golden test: a
-// streaming build killed mid-stream and then resumed from its checkpoint
-// produces output byte-identical to an uninterrupted run.
-func TestBuildStreamCheckpointResume(t *testing.T) {
+// TestBuildShardedCheckpointResume is the crash-recovery golden test: a
+// sharded build cancelled mid-convert and then resumed from its shard
+// checkpoints produces output byte-identical to an uninterrupted run, and
+// so does a rerun over the completed build directory.
+func TestBuildShardedCheckpointResume(t *testing.T) {
 	sources := chaosSources(40, 27)
 	dir := t.TempDir()
+	opts := ShardOptions{Shards: 2, Dir: dir, CheckpointEvery: 5}
 
-	uninterrupted, err := resumePipeline(t).BuildStream(context.Background(), SourceChan(sources))
+	uninterrupted, err := resumePipeline(t).BuildSharded(context.Background(), sources,
+		ShardOptions{Shards: 2, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderRepo(uninterrupted)
+	want := renderDiskRepo(t, uninterrupted.Repo)
+	uninterrupted.Repo.Store().Close()
 
 	newPipeline := func(tr obs.Tracer) *Pipeline {
-		cfg := streamConfig(tr, 4, 8)
-		cfg.CheckpointDir = dir
-		cfg.CheckpointEvery = 5
-		p, err := New(cfg)
+		p, err := New(testConfig(tr, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 
-	// Kill the first run mid-stream: the producer cancels after feeding
-	// half the corpus and abandons the channel.
+	// Cancel the first run mid-convert: the source provider cancels when
+	// shard 0 reaches the middle of its range.
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan Source)
-	go func() {
-		for i, s := range sources {
-			if i == 20 {
-				cancel()
-				return
-			}
-			in <- s
+	defer cancel()
+	_, err = newPipeline(nil).BuildShardedFrom(ctx, len(sources), func(i int) (Source, error) {
+		if i == 10 {
+			cancel()
 		}
-	}()
-	if _, err := newPipeline(nil).BuildStream(ctx, in); err != context.Canceled {
-		t.Fatalf("killed run returned %v, want context.Canceled", err)
+		return sources[i], nil
+	}, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "state.json")); err != nil {
-		t.Fatalf("killed run left no checkpoint: %v", err)
+	if _, err := os.Stat(filepath.Join(shardDir(dir, 0), shardStateFile)); err != nil {
+		t.Fatalf("cancelled run left no checkpoint: %v", err)
 	}
 
-	// Resume over the full source stream: the checkpointed prefix is
-	// restored, the rest is processed, and the result matches the
-	// uninterrupted run byte for byte.
+	// Resume: each shard restarts after its checkpointed prefix, and the
+	// result matches the uninterrupted run byte for byte.
 	coll := obs.NewCollector()
-	repo, err := newPipeline(coll).BuildStream(context.Background(), SourceChan(sources))
+	res, err := newPipeline(coll).BuildSharded(context.Background(), sources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderRepo(repo); got != want {
+	if got := renderDiskRepo(t, res.Repo); got != want {
 		t.Fatal("resumed build differs from the uninterrupted run")
 	}
-	if restored := coll.Counter(obs.CtrDocsRestored); restored == 0 {
-		t.Fatal("resumed build restored no documents from the checkpoint")
+	res.Repo.Store().Close()
+	if coll.Counter(obs.CtrShardsResumed) == 0 {
+		t.Fatal("resumed build restored no shard from its checkpoint")
+	}
+	if converted := coll.Counter(obs.CtrDocsConverted); converted >= int64(len(sources)) {
+		t.Fatalf("resumed build converted %d of %d documents; the checkpointed prefix was redone", converted, len(sources))
 	}
 	if coll.Counter(obs.CtrCheckpoints) == 0 {
-		t.Fatal("resumed build wrote no checkpoint snapshots")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "state.json")); !os.IsNotExist(err) {
-		t.Fatalf("completed build left its checkpoint behind (err=%v)", err)
+		t.Fatal("resumed build wrote no checkpoints")
 	}
 
-	// With the checkpoint cleared, a rerun starts fresh and still matches.
-	rerun, err := newPipeline(nil).BuildStream(context.Background(), SourceChan(sources))
+	// A rerun over the completed build directory still matches.
+	rerun, err := newPipeline(nil).BuildSharded(context.Background(), sources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderRepo(rerun) != want {
-		t.Fatal("fresh rerun after checkpoint clear differs from the uninterrupted run")
+	defer rerun.Repo.Store().Close()
+	if renderDiskRepo(t, rerun.Repo) != want {
+		t.Fatal("rerun over the completed build directory differs from the uninterrupted run")
 	}
 }
 
-// TestBuildStreamCheckpointWithFaults combines the two robustness layers:
-// a killed-and-resumed streaming build under injected convert panics still
-// matches a clean build over the surviving subset, and the quarantine log
-// survives the resume.
-func TestBuildStreamCheckpointWithFaults(t *testing.T) {
+// TestBuildShardedCheckpointWithFaults combines the two robustness layers:
+// a killed-and-resumed sharded build under permanent convert panics still
+// matches a clean build over the surviving subset, and the quarantine
+// records of the checkpointed shards survive the resume.
+func TestBuildShardedCheckpointWithFaults(t *testing.T) {
 	sources := chaosSources(40, 31)
 	dir := t.TempDir()
 	// Permanent faults: the same documents must fail again after resume.
@@ -398,47 +416,51 @@ func TestBuildStreamCheckpointWithFaults(t *testing.T) {
 		})
 	}
 	newPipeline := func(inject *faultinject.Stage) *Pipeline {
-		cfg := chaosConfig(inject, nil)
-		cfg.CheckpointDir = dir
-		cfg.CheckpointEvery = 4
-		p, err := New(cfg)
+		p, err := New(chaosConfig(inject, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
+	opts := ShardOptions{Shards: 2, Dir: dir, CheckpointEvery: 4}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan Source)
-	go func() {
-		for i, s := range sources {
-			if i == 20 {
-				cancel()
-				return
-			}
-			in <- s
-		}
-	}()
-	if _, err := newPipeline(newInjector()).BuildStream(ctx, in); err != context.Canceled {
-		t.Fatalf("killed run returned %v, want context.Canceled", err)
+	// Shard 1 dies between checkpoints; shard 0 completes and checkpoints
+	// its whole range, quarantine records included.
+	killed := opts
+	killed.kill = func(shard, done int) bool { return shard == 1 && done == 7 }
+	if _, err := newPipeline(newInjector()).BuildSharded(context.Background(), sources, killed); !errors.Is(err, errShardKilled) {
+		t.Fatalf("killed run returned %v, want errShardKilled", err)
 	}
 
-	repo, err := newPipeline(newInjector()).BuildStream(context.Background(), SourceChan(sources))
+	inject := newInjector()
+	res, err := newPipeline(inject).BuildSharded(context.Background(), sources, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(repo.Quarantined) == 0 {
+	defer res.Repo.Store().Close()
+	if len(res.Quarantined) == 0 {
 		t.Fatal("no quarantine records after resume")
 	}
-	if len(repo.Docs)+len(repo.Quarantined) != len(sources) {
+	if res.Repo.Len()+len(res.Quarantined) != len(sources) {
 		t.Fatalf("docs %d + quarantined %d != input %d",
-			len(repo.Docs), len(repo.Quarantined), len(sources))
+			res.Repo.Len(), len(res.Quarantined), len(sources))
 	}
-	clean, err := resumePipeline(t).Build(survivorsOf(sources, quarantinedNames(repo)))
+	// The resumed run reconverted only what the checkpoints did not cover,
+	// so some of its quarantine records were restored, not re-fired — and
+	// together they are exactly an uninterrupted chaos build's report.
+	if inject.Total() >= len(res.Quarantined) {
+		t.Fatalf("resume re-fired %d faults for %d quarantine records; none survived the checkpoint",
+			inject.Total(), len(res.Quarantined))
+	}
+	full, err := newPipeline(newInjector()).Build(sources)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if renderRepo(repo) != renderRepo(clean) {
+	if got, want := quarantinedNames(res.Quarantined), quarantinedNames(full.Quarantined); !maps.Equal(got, want) {
+		t.Fatalf("resumed quarantine report %v, uninterrupted build's %v", got, want)
+	}
+	clean := singleProcessRepo(t, survivorsOf(sources, quarantinedNames(res.Quarantined)))
+	if renderDiskRepo(t, res.Repo) != renderDiskRepo(t, clean) {
 		t.Fatal("resumed chaos build differs from a clean build over the survivors")
 	}
 }

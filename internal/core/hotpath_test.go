@@ -16,7 +16,7 @@ import (
 // fully serial fold of the same converted documents.
 func TestDiscoverSchemaShardInvariance(t *testing.T) {
 	p := tracedPipeline(t, nil, 0)
-	docs := p.ConvertAll(corpusSources(t, 16, 12345))
+	docs := p.ConvertAll(corpusSources(16, 12345))
 
 	parallel := p.DiscoverSchema(docs) // mineShards-way fold
 	acc := schema.NewAccumulator(0)
@@ -41,7 +41,7 @@ func TestDiscoverSchemaShardInvariance(t *testing.T) {
 // stats for every document.
 func TestConformPrecompileInvariance(t *testing.T) {
 	p := tracedPipeline(t, nil, 0)
-	docs := p.ConvertAll(corpusSources(t, 10, 777))
+	docs := p.ConvertAll(corpusSources(10, 777))
 	s := p.DiscoverSchema(docs)
 
 	cold := dtd.FromSchema(s, p.cfg.DTD)

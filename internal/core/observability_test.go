@@ -4,21 +4,10 @@ import (
 	"testing"
 
 	"webrev/internal/concept"
-	"webrev/internal/corpus"
 	"webrev/internal/mapping"
 	"webrev/internal/obs"
 	"webrev/internal/xmlout"
 )
-
-func corpusSources(t *testing.T, n int, seed int64) []Source {
-	t.Helper()
-	g := corpus.New(corpus.Options{Seed: seed})
-	var sources []Source
-	for _, r := range g.Corpus(n) {
-		sources = append(sources, Source{Name: r.Name, HTML: r.HTML})
-	}
-	return sources
-}
 
 func tracedPipeline(t *testing.T, tr obs.Tracer, parallelism int) *Pipeline {
 	t.Helper()
@@ -43,7 +32,7 @@ func TestTracerDisabledAddsNothing(t *testing.T) {
 	if p.Tracer().Enabled() {
 		t.Fatal("default tracer must be disabled")
 	}
-	repo, err := p.Build(corpusSources(t, 6, 11))
+	repo, err := p.Build(corpusSources(6, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +52,7 @@ func TestTracerDisabledAddsNothing(t *testing.T) {
 func TestTracerEnabledRecordsAllStages(t *testing.T) {
 	c := obs.NewCollector()
 	p := tracedPipeline(t, c, 0)
-	sources := corpusSources(t, 6, 11)
+	sources := corpusSources(6, 11)
 	repo, err := p.Build(sources)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +108,7 @@ func TestTracerEnabledRecordsAllStages(t *testing.T) {
 // this also exercises the worker pool for data races on the shared
 // collector and result slices.
 func TestBuildParallelMatchesSerial(t *testing.T) {
-	sources := corpusSources(t, 24, 7)
+	sources := corpusSources(24, 7)
 
 	serial, err := tracedPipeline(t, nil, 1).Build(sources)
 	if err != nil {

@@ -46,18 +46,10 @@ type Config struct {
 	// at least this Jaccard similarity are merged.
 	UnifySimilar float64
 	// Parallelism bounds concurrent document conversions and conformance
-	// mappings in Build, ConvertAll, BuildRepository and BuildStream (0
-	// means GOMAXPROCS). Work on distinct documents is independent; results
+	// mappings in Build, ConvertAll and BuildRepository (0 means
+	// GOMAXPROCS). Work on distinct documents is independent; results
 	// keep input order.
 	Parallelism int
-	// MaxInFlight caps how many documents BuildStream holds between
-	// acceptance from the input channel and the fold of their statistics
-	// into the schema accumulator — the streaming build's backpressure
-	// bound. Acceptance blocks (propagating backpressure to the producer,
-	// e.g. the crawler) until a slot frees. 0 means 4x the worker count. The
-	// cap is a hard bound: when it is below Parallelism, the streaming
-	// build runs fewer workers rather than exceed it.
-	MaxInFlight int
 	// Tracer instruments every stage: per-stage timings (obs.StageConvert,
 	// obs.StageExtract, obs.StageMine, obs.StageDerive, obs.StageMap) and
 	// the paper's evaluation counters. Nil means the no-op tracer, which
@@ -71,7 +63,7 @@ type Config struct {
 	Limits Limits
 	// MaxFailureRatio is the build's error budget: the fraction of input
 	// documents that may be quarantined (conversion or mapping crash,
-	// timeout, injected error) before Build/BuildStream fail. Failures
+	// timeout, injected error) before Build/BuildSharded fail. Failures
 	// within the budget leave the build successful with partial results
 	// and the records on Repository.Quarantined. 0 means the default 0.5;
 	// negative means zero tolerance — any quarantined document fails the
@@ -82,17 +74,6 @@ type Config struct {
 	// `webrev quarantine` subcommand can list and replay them after a
 	// fix.
 	QuarantineDir string
-	// CheckpointDir, when set, makes BuildStream crash-resumable: the
-	// per-worker schema accumulator state, converted documents, and
-	// quarantine log are periodically snapshotted there, and a later
-	// BuildStream over the same source stream resumes from the latest
-	// snapshot instead of redoing the work. Restored Documents carry
-	// their converted XML but zero conversion Stats.
-	CheckpointDir string
-	// CheckpointEvery is the number of documents folded between
-	// checkpoint snapshots (default 64). Only meaningful with
-	// CheckpointDir.
-	CheckpointEvery int
 	// Inject, when non-nil, fires deterministic faults (panics, delays,
 	// errors) into the per-document convert and map stages — the chaos
 	// hook the fault-tolerance tests and experiment E10 use. Nil injects
@@ -173,7 +154,7 @@ type Document struct {
 	Stats convert.Stats
 	// Paths caches the document's label-path representation, extracted at
 	// most once per document (ExtractPaths) and shared by every mine call
-	// and by both the batch and streaming build paths.
+	// and by both the batch and sharded build paths.
 	Paths *schema.DocPaths
 }
 
@@ -413,11 +394,15 @@ func (r *Repository) Export() *repository.Repository {
 
 // FailureRatio returns the fraction of input documents the build
 // quarantined; 0 for an empty build.
-func (r *Repository) FailureRatio() float64 {
-	if r.TotalInput == 0 {
+func (r *Repository) FailureRatio() float64 { return failureRatio(len(r.Quarantined), r.TotalInput) }
+
+// failureRatio is the quarantined fraction of total input documents; 0 for
+// an empty build.
+func failureRatio(quarantined, total int) float64 {
+	if total == 0 {
 		return 0
 	}
-	return float64(len(r.Quarantined)) / float64(r.TotalInput)
+	return float64(quarantined) / float64(total)
 }
 
 // MappedDocs returns the number of documents that went through conformance
@@ -460,7 +445,7 @@ func (r *Repository) TotalMapCost() int {
 
 // ExtractPaths returns the document's label-path representation, extracting
 // it (timed under obs.StageExtract) on first use and caching it on the
-// document. Repeated mine calls — and the batch and streaming build paths —
+// document. Repeated mine calls — and the batch and sharded build paths —
 // therefore share one extraction pass per document.
 func (p *Pipeline) ExtractPaths(d *Document) *schema.DocPaths {
 	if d.Paths == nil {
@@ -497,8 +482,8 @@ func (p *Pipeline) unify(s *schema.Schema) *schema.Schema {
 
 // MineStats mines accumulated corpus statistics into the majority schema,
 // applying the configured unification step — the mining entry point for
-// pre-folded summaries (BuildStream's merged shards, checkpoint resume, and
-// the watch loop's persistent delta accumulator). Folding every document
+// pre-folded summaries (BuildSharded's merged shard accumulators and the
+// watch loop's persistent delta accumulator). Folding every document
 // into one accumulator in corpus-index order and mining it here is exactly
 // DiscoverSchema over the same documents.
 func (p *Pipeline) MineStats(acc *schema.Accumulator) *schema.Schema {
@@ -598,7 +583,7 @@ func (p *Pipeline) BuildContext(ctx context.Context, sources []Source) (*Reposit
 	}
 	repo := &Repository{Docs: survivors, TotalInput: len(sources)}
 	repo.Quarantined = sink.snapshotQuarantined()
-	if err := p.checkBudget(repo, sink); err != nil {
+	if err := p.checkBudget(len(repo.Quarantined), repo.TotalInput, sink); err != nil {
 		return repo, err
 	}
 	if len(repo.Docs) == 0 {
@@ -660,7 +645,7 @@ func (p *Pipeline) mapPhase(ctx context.Context, repo *Repository, sink *failure
 	repo.MapStats = stats[:kept]
 	repo.Quarantined = sink.snapshotQuarantined()
 	repo.Degraded = sink.snapshotDegraded()
-	if err := p.checkBudget(repo, sink); err != nil {
+	if err := p.checkBudget(len(repo.Quarantined), repo.TotalInput, sink); err != nil {
 		return err
 	}
 
@@ -715,15 +700,16 @@ func (p *Pipeline) BuildFromStats(ctx context.Context, docs []*Document, acc *sc
 	return repo, nil
 }
 
-// checkBudget enforces the error budget and surfaces a quarantine-store
-// write failure (the failure path must itself not fail silently).
-func (p *Pipeline) checkBudget(repo *Repository, sink *failureSink) error {
+// checkBudget enforces the error budget over quarantined of total input
+// documents, and surfaces a quarantine-store write failure (the failure
+// path must itself not fail silently). Every build driver calls it.
+func (p *Pipeline) checkBudget(quarantined, total int, sink *failureSink) error {
 	if err := sink.err(); err != nil {
 		return err
 	}
-	if budget := p.failureBudget(); repo.FailureRatio() > budget {
+	if ratio, budget := failureRatio(quarantined, total), p.failureBudget(); ratio > budget {
 		return fmt.Errorf("core: %d of %d documents quarantined (ratio %.2f exceeds budget %.2f)",
-			len(repo.Quarantined), repo.TotalInput, repo.FailureRatio(), budget)
+			quarantined, total, ratio, budget)
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 
 	"webrev/internal/concept"
 	"webrev/internal/corpus"
+	"webrev/internal/obs"
+	"webrev/internal/xmlout"
 )
 
 func resumePipeline(t *testing.T) *Pipeline {
@@ -19,6 +21,40 @@ func resumePipeline(t *testing.T) *Pipeline {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// corpusSources generates n resumes from the seeded corpus generator.
+func corpusSources(n int, seed int64) []Source {
+	g := corpus.New(corpus.Options{Seed: seed})
+	var sources []Source
+	for _, r := range g.Corpus(n) {
+		sources = append(sources, Source{Name: r.Name, HTML: r.HTML})
+	}
+	return sources
+}
+
+// renderRepo flattens a repository to its deterministic text artifacts.
+func renderRepo(r *Repository) string {
+	var b strings.Builder
+	b.WriteString(r.DTD.Render())
+	for i, c := range r.Conformed {
+		b.WriteString(r.Docs[i].Source)
+		b.WriteString("\n")
+		b.WriteString(xmlout.Marshal(c))
+	}
+	return b.String()
+}
+
+// testConfig is the resume-domain configuration with a tracer and a
+// worker count.
+func testConfig(tr obs.Tracer, parallelism int) Config {
+	return Config{
+		Concepts:    concept.ResumeConcepts(),
+		Constraints: concept.ResumeConstraints(),
+		RootName:    "resume",
+		Parallelism: parallelism,
+		Tracer:      tr,
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -195,5 +231,36 @@ func TestSetAccessor(t *testing.T) {
 	p := resumePipeline(t)
 	if p.Set().Len() != 24 {
 		t.Fatalf("set size = %d", p.Set().Len())
+	}
+}
+
+// TestExtractPathsOnce is the regression test for the hoisted extraction
+// pass: mining twice over the same converted documents must not re-extract
+// — the obs counter records each document's paths exactly once.
+func TestExtractPathsOnce(t *testing.T) {
+	coll := obs.NewCollector()
+	p, err := New(testConfig(coll, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := p.ConvertAll(corpusSources(10, 4))
+	s1 := p.DiscoverSchema(docs)
+	afterFirst := coll.Counter(obs.CtrPathsExtracted)
+	if afterFirst == 0 {
+		t.Fatal("first mine extracted nothing")
+	}
+	st, _ := coll.Stage(obs.StageExtract)
+	if st.Count != 10 {
+		t.Fatalf("extract spans = %d, want one per document (10)", st.Count)
+	}
+	s2 := p.DiscoverSchema(docs)
+	if got := coll.Counter(obs.CtrPathsExtracted); got != afterFirst {
+		t.Fatalf("second mine re-extracted: counter %d -> %d", afterFirst, got)
+	}
+	if st, _ := coll.Stage(obs.StageExtract); st.Count != 10 {
+		t.Fatalf("extract spans after second mine = %d, want 10", st.Count)
+	}
+	if s1.String() != s2.String() {
+		t.Fatal("repeated mining over cached paths changed the schema")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,17 +20,16 @@ import (
 // The sharded build scales the pipeline to corpora that cannot be resident
 // in one process: N independent shard workers each convert a contiguous
 // range of the input, folding schema statistics into a mergeable
-// accumulator (tagged with global corpus indices, exactly like BuildStream)
-// and appending converted XML to a per-shard disk segment
-// (repository.DiskStore). A merge step folds the shard accumulators — the
-// merge is exactly commutative, so the mined schema and derived DTD are
-// byte-identical to a single-process build — and a second sharded pass maps
-// each shard's converted documents to the DTD into per-shard conformed
-// segments, which concatenate in shard order into the final disk-backed
-// repository. Because shards cover contiguous ranges, concatenation
-// preserves global input order, and because xmlout round-trips converted
-// trees exactly, the final repository's documents are byte-identical to
-// Build + Export over the same sources.
+// accumulator (tagged with global corpus indices) and appending converted
+// XML to a per-shard disk segment (repository.DiskStore). A merge step
+// folds the shard accumulators — the merge is exactly commutative, so the
+// mined schema and derived DTD are byte-identical to a single-process build
+// — and a second sharded pass maps each shard's converted documents to the
+// DTD into per-shard conformed segments, which concatenate in shard order
+// into the final disk-backed repository. Because shards cover contiguous
+// ranges, concatenation preserves global input order, and because xmlout
+// round-trips converted trees exactly, the final repository's documents are
+// byte-identical to Build + Export over the same sources.
 //
 // Memory is flat in corpus size: a shard holds one document between
 // conversion and fold, the accumulators are bounded by distinct label
@@ -90,12 +90,7 @@ type ShardResult struct {
 }
 
 // FailureRatio returns the fraction of input documents quarantined.
-func (r *ShardResult) FailureRatio() float64 {
-	if r.TotalInput == 0 {
-		return 0
-	}
-	return float64(len(r.Quarantined)) / float64(r.TotalInput)
-}
+func (r *ShardResult) FailureRatio() float64 { return failureRatio(len(r.Quarantined), r.TotalInput) }
 
 // errShardKilled reports that the crash-injection hook stopped a shard
 // mid-build; the shard's durable state is at its last checkpoint and a new
@@ -104,6 +99,10 @@ var errShardKilled = errors.New("core: shard killed")
 
 // shardStateVersion guards the shard checkpoint format.
 const shardStateVersion = 1
+
+// defaultCheckpointEvery is the number of documents a shard processes
+// between checkpoints when ShardOptions.CheckpointEvery is unset.
+const defaultCheckpointEvery = 64
 
 // shardStateFile is the per-shard checkpoint manifest name.
 const shardStateFile = "state.json"
@@ -123,8 +122,8 @@ type shardState struct {
 	// appended to the conv segment (Done minus quarantined).
 	Done   int `json:"done"`
 	Stored int `json:"stored"`
-	// Acc is the shard accumulator's JSON encoding — the same wire format
-	// the streaming build's checkpoints use (schema.Accumulator).
+	// Acc is the shard accumulator's JSON encoding (schema.Accumulator's
+	// codec).
 	Acc json.RawMessage `json:"acc"`
 	// Quarantined and Degraded carry the shard's failure records so a
 	// resumed build still reports them.
@@ -220,7 +219,7 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 	// commutative, so any order mines the same schema.
 	res := &ShardResult{TotalInput: n}
 	res.Quarantined = sink.snapshotQuarantined()
-	if err := p.checkShardBudget(res, sink); err != nil {
+	if err := p.checkBudget(len(res.Quarantined), res.TotalInput, sink); err != nil {
 		return nil, err
 	}
 	stored := 0
@@ -272,7 +271,7 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 	}
 	res.Quarantined = sink.snapshotQuarantined()
 	res.Degraded = sink.snapshotDegraded()
-	if err := p.checkShardBudget(res, sink); err != nil {
+	if err := p.checkBudget(len(res.Quarantined), res.TotalInput, sink); err != nil {
 		return nil, err
 	}
 
@@ -322,19 +321,6 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 		p.tr.Set(obs.GaugeStreamShards, int64(opts.Shards))
 	}
 	return res, nil
-}
-
-// checkShardBudget enforces the error budget over a sharded build's
-// aggregated quarantine records.
-func (p *Pipeline) checkShardBudget(res *ShardResult, sink *failureSink) error {
-	if err := sink.err(); err != nil {
-		return err
-	}
-	if budget := p.failureBudget(); res.FailureRatio() > budget {
-		return fmt.Errorf("core: %d of %d documents quarantined (ratio %.2f exceeds budget %.2f)",
-			len(res.Quarantined), res.TotalInput, res.FailureRatio(), budget)
-	}
-	return nil
 }
 
 // runShardConvert is one shard's convert phase: process the shard's
@@ -422,47 +408,71 @@ func (p *Pipeline) runShardConvert(ctx context.Context, shard, n int, at func(in
 // openShardState resumes shard state from dir when a checkpoint for the
 // same source range exists (truncating the conv segment back to the
 // checkpoint watermark and re-registering its failure records), and starts
-// fresh otherwise.
+// fresh when there is no checkpoint or it covers a different range (a
+// rerun with another shard count). A checkpoint that cannot be read or
+// decoded, or has an unknown version, is an error: the conv segment is
+// left untouched rather than silently rebuilt.
 func (p *Pipeline) openShardState(dir, convDir string, start, end int, sink *failureSink) (*shardState, *schema.Accumulator, *repository.DiskStore, error) {
-	if data, err := os.ReadFile(filepath.Join(dir, shardStateFile)); err == nil {
-		var st shardState
-		if err := json.Unmarshal(data, &st); err == nil &&
-			st.Version == shardStateVersion && st.Start == start && st.End == end {
-			acc := &schema.Accumulator{}
-			if err := json.Unmarshal(st.Acc, acc); err != nil {
-				return nil, nil, nil, fmt.Errorf("core: shard resume: %w", err)
-			}
-			conv, err := repository.OpenDiskStore(convDir, repository.DiskOptions{MaxResidentDocs: -1, Tracer: p.tr})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if conv.Len() < st.Stored {
-				// The segment lost appends the state already covers — the
-				// checkpoint protocol flushes the segment before the state,
-				// so this means external tampering, not a crash.
-				conv.Close()
-				return nil, nil, nil, fmt.Errorf("core: shard resume: segment holds %d documents, checkpoint expects %d", conv.Len(), st.Stored)
-			}
-			if err := conv.TruncateDocs(st.Stored); err != nil {
-				conv.Close()
-				return nil, nil, nil, err
-			}
-			sink.restoreQuarantined(st.Quarantined)
-			for _, rec := range st.Degraded {
-				sink.degrade(rec)
-			}
-			if p.tr.Enabled() {
-				p.tr.Add(obs.CtrShardsResumed, 1)
-			}
-			return &st, acc, conv, nil
-		}
-	}
-	conv, err := repository.CreateDiskStore(convDir, repository.DiskOptions{MaxResidentDocs: -1, Tracer: p.tr})
+	st, err := readShardState(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := &shardState{Version: shardStateVersion, Start: start, End: end}
-	return st, schema.NewAccumulator(0), conv, nil
+	if st == nil || st.Start != start || st.End != end {
+		conv, err := repository.CreateDiskStore(convDir, repository.DiskOptions{MaxResidentDocs: -1, Tracer: p.tr})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		st := &shardState{Version: shardStateVersion, Start: start, End: end}
+		return st, schema.NewAccumulator(0), conv, nil
+	}
+	acc := &schema.Accumulator{}
+	if err := json.Unmarshal(st.Acc, acc); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: shard resume: %w", err)
+	}
+	conv, err := repository.OpenDiskStore(convDir, repository.DiskOptions{MaxResidentDocs: -1, Tracer: p.tr})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if conv.Len() < st.Stored {
+		// The segment lost appends the state already covers — the
+		// checkpoint protocol flushes the segment before the state, so
+		// this means external tampering, not a crash.
+		conv.Close()
+		return nil, nil, nil, fmt.Errorf("core: shard resume: segment holds %d documents, checkpoint expects %d", conv.Len(), st.Stored)
+	}
+	if err := conv.TruncateDocs(st.Stored); err != nil {
+		conv.Close()
+		return nil, nil, nil, err
+	}
+	sink.restoreQuarantined(st.Quarantined)
+	for _, rec := range st.Degraded {
+		sink.degrade(rec)
+	}
+	if p.tr.Enabled() {
+		p.tr.Add(obs.CtrShardsResumed, 1)
+	}
+	return st, acc, conv, nil
+}
+
+// readShardState loads the shard checkpoint in dir; (nil, nil) means there
+// is none.
+func readShardState(dir string) (*shardState, error) {
+	path := filepath.Join(dir, shardStateFile)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: shard resume: %w", err)
+	}
+	var st shardState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, fmt.Errorf("core: shard resume: %s: %w", path, err)
+	}
+	if st.Version != shardStateVersion {
+		return nil, fmt.Errorf("core: shard resume: %s: state version %d not supported (want %d)", path, st.Version, shardStateVersion)
+	}
+	return &st, nil
 }
 
 // writeShardState persists a shard checkpoint atomically (tmp + rename).

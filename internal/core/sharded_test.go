@@ -5,6 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -69,7 +73,7 @@ func TestShardRangePartition(t *testing.T) {
 // byte-identical to the single-process in-memory build — and a re-run over
 // the same directory (which resumes every shard's completed state) again.
 func TestBuildShardedMatchesBuild(t *testing.T) {
-	sources := streamSources(30, 17)
+	sources := corpusSources(30, 17)
 	want := renderDiskRepo(t, singleProcessRepo(t, sources))
 
 	for _, shards := range []int{1, 2, 8} {
@@ -107,16 +111,52 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestBuildShardedMatchesBuildAcrossParallelism: fed the same sources in
+// the same order, the sharded build's DTD and conformed repository are
+// byte-identical to the single-process build's across worker counts and
+// shard counts, including the defaults (zero values).
+func TestBuildShardedMatchesBuildAcrossParallelism(t *testing.T) {
+	sources := corpusSources(30, 17)
+	want := renderDiskRepo(t, singleProcessRepo(t, sources))
+
+	for _, tc := range []struct{ parallelism, shards int }{
+		{1, 1}, {2, 3}, {4, 8}, {0, 0}, {8, 2},
+	} {
+		p, err := New(testConfig(nil, tc.parallelism))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.BuildSharded(context.Background(), sources, ShardOptions{
+			Shards: tc.shards,
+			Dir:    t.TempDir(),
+		})
+		if err != nil {
+			t.Fatalf("parallelism=%d shards=%d: %v", tc.parallelism, tc.shards, err)
+		}
+		if got := renderDiskRepo(t, res.Repo); got != want {
+			t.Errorf("parallelism=%d shards=%d: sharded repository differs from single-process build",
+				tc.parallelism, tc.shards)
+		}
+		if res.Repo.Len() != len(sources) {
+			t.Errorf("parallelism=%d shards=%d: %d documents, want %d",
+				tc.parallelism, tc.shards, res.Repo.Len(), len(sources))
+		}
+		if err := res.Repo.Store().Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBuildShardedKillResume kills one shard mid-convert (after its last
 // checkpoint) and checks the next build over the same directory resumes
 // from the checkpoint and still produces byte-identical output.
 func TestBuildShardedKillResume(t *testing.T) {
-	sources := streamSources(30, 17)
+	sources := corpusSources(30, 17)
 	want := renderDiskRepo(t, singleProcessRepo(t, sources))
 	dir := t.TempDir()
 
 	coll := obs.NewCollector()
-	p, err := New(streamConfig(coll, 0, 0))
+	p, err := New(testConfig(coll, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +195,7 @@ func TestBuildShardedKillResume(t *testing.T) {
 // read path never changes build output, and the resulting repository still
 // answers queries identically to the in-memory one.
 func TestBuildShardedEvictionIdentical(t *testing.T) {
-	sources := streamSources(20, 23)
+	sources := corpusSources(20, 23)
 	single := singleProcessRepo(t, sources)
 	want := renderDiskRepo(t, single)
 
@@ -236,8 +276,8 @@ func TestBuildShardedChaosQuarantine(t *testing.T) {
 // golden corpus — including documents degraded by resource limits — stores
 // and reloads byte-identically through the disk store.
 func TestDiskStoreRoundTripsGoldenCorpus(t *testing.T) {
-	sources := streamSources(12, 99) // the golden corpus parameters
-	cfg := streamConfig(nil, 0, 0)
+	sources := corpusSources(12, 99) // the golden corpus parameters
+	cfg := testConfig(nil, 0)
 	cfg.Limits = Limits{MaxTokens: 60} // force at least one degraded doc
 	p, err := New(cfg)
 	if err != nil {
@@ -296,7 +336,7 @@ func TestDiskStoreRoundTripsGoldenCorpus(t *testing.T) {
 // TestBuildShardedLazySources: the BuildShardedFrom provider is called
 // lazily per index and the output matches the eager slice path.
 func TestBuildShardedLazySources(t *testing.T) {
-	sources := streamSources(15, 31)
+	sources := corpusSources(15, 31)
 	want := renderDiskRepo(t, singleProcessRepo(t, sources))
 	var calls int64
 	res, err := resumePipeline(t).BuildShardedFrom(context.Background(), len(sources), func(i int) (Source, error) {
@@ -313,4 +353,132 @@ func TestBuildShardedLazySources(t *testing.T) {
 	if calls != int64(len(sources)) {
 		t.Fatalf("provider called %d times, want %d", calls, len(sources))
 	}
+}
+
+// TestBuildShardedEmpty mirrors Build's empty-corpus error.
+func TestBuildShardedEmpty(t *testing.T) {
+	if _, err := resumePipeline(t).BuildSharded(context.Background(), nil, ShardOptions{Dir: t.TempDir()}); err == nil {
+		t.Fatal("empty corpus should error")
+	}
+}
+
+// TestBuildShardedCancel cancels mid-convert and expects the context error
+// and no final repository.
+func TestBuildShardedCancel(t *testing.T) {
+	sources := corpusSources(10, 3)
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := resumePipeline(t).BuildShardedFrom(ctx, len(sources), func(i int) (Source, error) {
+		if i == 4 {
+			cancel()
+		}
+		return sources[i], nil
+	}, ShardOptions{Shards: 2, Dir: dir})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "final")); !os.IsNotExist(err) {
+		t.Fatalf("cancelled build wrote a final repository (err=%v)", err)
+	}
+}
+
+// TestBuildShardedRejectsBadState: a shard checkpoint that cannot be read,
+// does not decode, or carries an unknown version fails the resume with an
+// error and leaves the shard's converted segment untouched — it is never
+// silently discarded and rebuilt.
+func TestBuildShardedRejectsBadState(t *testing.T) {
+	sources := corpusSources(30, 17)
+	for _, tc := range []struct {
+		name   string
+		tamper func(path string) error
+	}{
+		{"unknown version", func(path string) error {
+			return os.WriteFile(path, []byte(`{"version":99,"start":0,"end":15,"done":4,"stored":4}`), 0o644)
+		}},
+		{"undecodable", func(path string) error {
+			return os.WriteFile(path, []byte(`{"version":1,"start":`), 0o644)
+		}},
+		{"unreadable", func(path string) error {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			return os.Mkdir(path, 0o755)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := ShardOptions{Shards: 2, Dir: dir, CheckpointEvery: 4}
+			killed := opts
+			killed.kill = func(shard, done int) bool { return shard == 0 && done == 7 }
+			if _, err := resumePipeline(t).BuildSharded(context.Background(), sources, killed); !errors.Is(err, errShardKilled) {
+				t.Fatalf("killed build returned %v, want errShardKilled", err)
+			}
+			sdir := shardDir(dir, 0)
+			if err := tc.tamper(filepath.Join(sdir, shardStateFile)); err != nil {
+				t.Fatal(err)
+			}
+			before := readTree(t, filepath.Join(sdir, "conv"))
+
+			if _, err := resumePipeline(t).BuildSharded(context.Background(), sources, opts); err == nil {
+				t.Fatal("resume over a bad shard checkpoint succeeded")
+			}
+			if after := readTree(t, filepath.Join(sdir, "conv")); !maps.Equal(before, after) {
+				t.Fatal("resume over a bad shard checkpoint rewrote the shard's conv segment")
+			}
+		})
+	}
+}
+
+// TestBuildShardedResplitStartsFresh: checkpoints for a different shard
+// split are not resumed — each shard starts fresh — and the output is
+// still byte-identical.
+func TestBuildShardedResplitStartsFresh(t *testing.T) {
+	sources := corpusSources(30, 17)
+	want := renderDiskRepo(t, singleProcessRepo(t, sources))
+	dir := t.TempDir()
+	_, err := resumePipeline(t).BuildSharded(context.Background(), sources, ShardOptions{
+		Shards: 2, Dir: dir, CheckpointEvery: 4,
+		kill: func(shard, done int) bool { return shard == 1 && done == 7 },
+	})
+	if !errors.Is(err, errShardKilled) {
+		t.Fatalf("killed build returned %v, want errShardKilled", err)
+	}
+	coll := obs.NewCollector()
+	p, err := New(testConfig(coll, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.BuildSharded(context.Background(), sources, ShardOptions{Shards: 3, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Repo.Store().Close()
+	if got := renderDiskRepo(t, res.Repo); got != want {
+		t.Fatal("re-split build differs from single-process build")
+	}
+	if got := coll.Counter(obs.CtrShardsResumed); got != 0 {
+		t.Fatalf("shard.resumed = %d after a re-split, want 0", got)
+	}
+}
+
+// readTree maps every regular file under dir to its contents.
+func readTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s holds no files", dir)
+	}
+	return out
 }

@@ -225,10 +225,9 @@ func (c *Crawler) CrawlContext(ctx context.Context, seed string) ([]Page, *Repor
 // CrawlTo is the streaming form of CrawlContext: emit receives each fetched
 // page as soon as its fetch completes, in the same deterministic order
 // CrawlContext returns, instead of the pages accumulating until the crawl
-// ends. emit runs synchronously on the crawl loop, so a slow consumer —
-// e.g. a streaming build at its in-flight cap — backpressures the crawl
-// itself; no unbounded page buffer forms anywhere. The crawl-and-build path
-// (AcquireStream + BuildStream in core) is built on this.
+// ends. emit runs synchronously on the crawl loop, so a slow consumer
+// backpressures the crawl itself; no unbounded page buffer forms anywhere.
+// CrawlContext is built on this.
 func (c *Crawler) CrawlTo(ctx context.Context, seed string, emit func(Page)) (*Report, error) {
 	return c.crawl(ctx, seed, nil, emit)
 }
@@ -327,9 +326,9 @@ func (c *Crawler) crawl(ctx context.Context, seed string, state *CrawlState, emi
 
 	// Emission is deferred by one window: a window's pages are handed to
 	// emit only after the next window's first wave of requests is on the
-	// wire, so a synchronous consumer (a streaming build converting each
-	// page) does its CPU work while the crawler is waiting on the network,
-	// not between a window finishing and the next one being dispatched.
+	// wire, so a synchronous consumer (one converting each page) does its
+	// CPU work while the crawler is waiting on the network, not between a
+	// window finishing and the next one being dispatched.
 	// Emission order is unchanged — pages still leave in fetch order — and
 	// the buffer never holds more than one window of pages.
 	var pending []Page

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"webrev/internal/corpus"
-	"webrev/internal/crawler/faultinject"
+	"webrev/internal/faultinject"
 )
 
 // fastPolicy keeps retries snappy for tests.

@@ -12,7 +12,7 @@ import (
 
 	"webrev/internal/corpus"
 	"webrev/internal/crawler"
-	"webrev/internal/crawler/faultinject"
+	"webrev/internal/faultinject"
 )
 
 // ---------------------------------------------------------------------------

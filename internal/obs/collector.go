@@ -129,7 +129,7 @@ func (c *Collector) Gauge(name string) int64 {
 }
 
 // SetMax raises the named gauge to v if v is larger — the high-water-mark
-// update used by the streaming build's peak in-flight gauge. Atomic under
+// update used by the serving layer's peak in-flight gauge. Atomic under
 // the collector's lock, so concurrent workers cannot lose a peak.
 func (c *Collector) SetMax(name string, v int64) {
 	c.mu.Lock()

@@ -60,13 +60,9 @@ const (
 	// StageMineFold times the parallel per-shard accumulator fold that
 	// precedes frequent-path discovery when the miner runs sharded.
 	StageMineFold = "schema.mine.fold"
-	StageDerive   = "dtd.derive"   // schema → DTD
-	StageMap      = "map.conform"  // DTD-guided document mapping, per document
-	StageCrawl    = "crawl"        // acquisition crawl (bridged from crawler.Report)
-	StageMerge    = "schema.merge" // merging per-shard schema accumulators (streaming build)
-	// StageCheckpoint times each snapshot of the streaming build's
-	// accumulator state to the checkpoint directory.
-	StageCheckpoint = "checkpoint.write"
+	StageDerive   = "dtd.derive"  // schema → DTD
+	StageMap      = "map.conform" // DTD-guided document mapping, per document
+	StageCrawl    = "crawl"       // acquisition crawl (bridged from crawler.Report)
 	// StageServe times one served repository request in webrevd (all
 	// endpoints; the serve counters below split the traffic).
 	StageServe = "serve.request"
@@ -121,8 +117,7 @@ const (
 	CtrMineShards      = "mine.shards"         // accumulator shards folded by the parallel miner
 	CtrDocsQuarantined = "docs.quarantined"    // documents dropped by per-document fault isolation
 	CtrDocsDegraded    = "docs.degraded"       // documents kept but truncated or identity-mapped by limits
-	CtrDocsRestored    = "docs.restored"       // documents restored from a streaming-build checkpoint
-	CtrCheckpoints     = "checkpoint.writes"   // checkpoint snapshots written by the streaming build
+	CtrCheckpoints     = "checkpoint.writes"   // shard checkpoints written by the sharded build
 	CtrCrawlFetched    = "crawl.fetched"
 	CtrCrawlFailed     = "crawl.failed"
 	CtrCrawlRetried    = "crawl.retried"
@@ -185,16 +180,8 @@ const (
 // Canonical gauge names. Gauges record point-in-time levels (Set), not
 // accumulating totals (Add).
 const (
-	// GaugeStreamInFlight is the number of documents currently inside the
-	// streaming build — accepted from the input channel but not yet folded
-	// into the schema statistics. Bounded by the configured in-flight cap.
-	GaugeStreamInFlight = "stream.inflight"
-	// GaugeStreamInFlightPeak is the high-water mark of
-	// GaugeStreamInFlight over a whole streaming build; the bounded-memory
-	// guarantee is peak <= cap.
-	GaugeStreamInFlightPeak = "stream.inflight.peak"
-	// GaugeStreamShards is the number of per-worker schema accumulators the
-	// streaming build merged.
+	// GaugeStreamShards is the number of shard accumulators the sharded
+	// build merged.
 	GaugeStreamShards = "stream.shards"
 	// GaugeServeInFlight is the number of requests currently admitted and
 	// executing in the serving layer.

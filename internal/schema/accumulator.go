@@ -12,8 +12,8 @@ import (
 // with Merge (an exactly commutative and associative operation), and
 // Miner.DiscoverStats mines the combined summary — producing the same
 // schema, support and supportRatio values as Miner.Discover over the whole
-// corpus in one slice. This is what lets the streaming build (core.
-// BuildStream) drop each document's tree as soon as its statistics are
+// corpus in one slice. This is what lets the sharded build (core.
+// BuildSharded) drop each document's tree as soon as its statistics are
 // folded, keeping memory bounded by the summary instead of the corpus.
 //
 // Exactness is what makes Merge order-free. Document counts are integers;

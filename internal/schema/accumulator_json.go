@@ -9,9 +9,9 @@ import (
 
 // The accumulator's JSON codec serializes the exact mergeable statistics —
 // big.Rat position sums as numerator/denominator strings, sequence samples
-// with their corpus-index tags — so a streaming build can snapshot its
-// per-worker accumulators to a checkpoint and a resumed build can restore
-// them losslessly. Paths marshal in sorted order, making the encoding
+// with their corpus-index tags — so a sharded build can checkpoint its
+// per-shard accumulators (and the watch loop its delta accumulator) and a
+// resumed build can restore them losslessly. Paths marshal in sorted order, making the encoding
 // deterministic for golden comparisons.
 
 // accJSON is the wire form of an Accumulator.

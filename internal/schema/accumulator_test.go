@@ -48,7 +48,7 @@ func mineStats(t *testing.T, m *schema.Miner, docs []*schema.DocPaths, assign []
 }
 
 // TestAccumulatorMergeCommutativeAssociative is the property behind the
-// streaming build: any sharding of the corpus, merged in any order (and any
+// sharded build: any sharding of the corpus, merged in any order (and any
 // association, since merge trees reduce to orders of pairwise merges into
 // one accumulator), mines the identical schema — same supports, same
 // supportRatios, same ordering and repetition statistics, same sequence

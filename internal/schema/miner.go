@@ -47,7 +47,7 @@ type Miner struct {
 	Tracer obs.Tracer
 	// Shards > 1 makes Discover fold the corpus in parallel: each of
 	// Shards workers folds a stride of the document slice into its own
-	// Accumulator (the per-worker shard pattern of core.BuildStream), the
+	// Accumulator (the per-shard pattern of core.BuildSharded), the
 	// shards merge in shard order, and the merged summary is mined. Merge
 	// is exactly commutative and associative, so the result is
 	// byte-identical to the serial fold — pinned by the parallel-miner
@@ -94,7 +94,7 @@ type Schema struct {
 // Discover mines the majority schema from the corpus. It never fails; an
 // empty corpus yields an empty schema. It is equivalent to folding every
 // document into one Accumulator in slice order and mining the summary with
-// DiscoverStats — which is exactly what it does, so the batch and streaming
+// DiscoverStats — which is exactly what it does, so the batch and sharded
 // build paths share a single mining implementation.
 func (m *Miner) Discover(docs []*DocPaths) *Schema {
 	w := m.Shards

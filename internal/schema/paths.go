@@ -110,7 +110,7 @@ func Extract(root *dom.Node) *DocPaths {
 // ExtractTraced reduces one document to its label-path representation under
 // an obs.StageExtract span, counting the label-path prefixes extracted
 // (CtrPathsExtracted). tr may be nil. This is the per-document unit both
-// the batch and streaming builds share, so extraction happens exactly once
+// the batch and sharded builds share, so extraction happens exactly once
 // per document no matter which path mines it or how often.
 func ExtractTraced(root *dom.Node, tr obs.Tracer) *DocPaths {
 	tr = obs.OrNop(tr)

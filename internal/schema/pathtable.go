@@ -6,7 +6,7 @@ import "sort"
 // every path gets a dense int32 id, with parent/child edges, last labels,
 // and per-path aggregates resolved once. DiscoverStats mines over the table
 // instead of re-deriving a children map and re-concatenating "parent/label"
-// string keys per candidate, so repeated mining passes (streaming re-mines,
+// string keys per candidate, so repeated mining passes (watch-cycle re-mines,
 // drift checks) do no per-path string work at all.
 //
 // The table is read-only and shares the accumulator's *pathAgg values; it

@@ -13,9 +13,9 @@ import (
 	"webrev/internal/xmlout"
 )
 
-// The watch state directory is version 2 of the checkpoint manifest layout
-// the streaming build introduced (internal/core's checkpoint store,
-// version 1). The directory shape is unchanged — a state.json manifest plus
+// The watch state directory is version 2 of the checkpoint manifest layout.
+// Version 1 was the checkpoint of a streaming build driver that has since
+// been retired; nothing writes it any more. The directory shape is unchanged — a state.json manifest plus
 // one doc-%08d.xml file per live converted document, manifest written
 // atomically (tmp + rename), doc files not listed in the manifest ignored —
 // and version 2 extends the manifest with the continuous-operation state:
@@ -23,7 +23,7 @@ import (
 // cycle ordinal, and the previous cycle's derivation (supports, DTD text,
 // per-site conformance) that the next drift report diffs against.
 //
-// A version-1 manifest (a streaming-build checkpoint) still loads: its
+// A legacy version-1 manifest still loads, read-only: its
 // documents are restored and their statistics re-extracted into a fresh
 // delta accumulator, and the crawl state starts empty, so the first cycle
 // refetches everything and classifies by content hash. The full format
@@ -53,8 +53,8 @@ func (d stateDoc) name() string {
 }
 
 // stateManifest is the serialized form of a watch state directory's
-// state.json, covering both the version it writes (2) and the version-1
-// streaming-checkpoint fields it can migrate from.
+// state.json, covering both the version it writes (2) and the legacy
+// version-1 fields it can migrate from.
 type stateManifest struct {
 	// Version guards the format; readers reject versions they don't know.
 	Version int `json:"version"`
@@ -138,8 +138,8 @@ func (w *Watcher) save() error {
 }
 
 // load restores the watcher from its state directory. A missing manifest is
-// a fresh start, not an error. Version 2 restores everything; version 1 (a
-// streaming-build checkpoint) migrates — documents restore from their XML,
+// a fresh start, not an error. Version 2 restores everything; legacy
+// version 1 migrates — documents restore from their XML,
 // statistics re-extract into a fresh delta accumulator, and the crawl state
 // starts empty.
 func (w *Watcher) load() error {

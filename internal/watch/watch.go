@@ -100,7 +100,7 @@ type Result struct {
 }
 
 // New returns a Watcher over opt, resuming from opt.StateDir when it holds
-// a previous life's state (either the watch format or a version-1 streaming
+// a previous life's state (either the watch format or a legacy version-1
 // checkpoint, which migrates — see Load in state.go).
 func New(opt Options) (*Watcher, error) {
 	if opt.Pipeline == nil || opt.Crawler == nil || opt.Seed == "" {

@@ -130,32 +130,6 @@ func Acquire(ctx context.Context, c *Crawler, seed string) ([]Source, *CrawlRepo
 	return core.Acquire(ctx, c, seed)
 }
 
-// StreamSink receives each document of a streaming build
-// (Pipeline.BuildStreamTo) as its DTD-guided mapping finishes, in input
-// order.
-type StreamSink = core.StreamSink
-
-// AcquireStream starts the crawl in the background and returns a channel of
-// on-topic Sources fit to feed Pipeline.BuildStream, so document conversion
-// and schema statistics overlap the crawl (see ARCHITECTURE.md, streaming
-// path). wait blocks until the crawl ends and returns its report.
-func AcquireStream(ctx context.Context, c *Crawler, seed string) (src <-chan Source, wait func() (*CrawlReport, error)) {
-	return core.AcquireStream(ctx, c, seed)
-}
-
-// SourceChan adapts an already materialized corpus into the channel
-// Pipeline.BuildStream consumes.
-func SourceChan(sources []Source) <-chan Source { return core.SourceChan(sources) }
-
-// Gauge names the streaming build records on its tracer: current and peak
-// in-flight documents, and the number of per-worker statistic shards
-// merged. The bounded-memory guarantee is peak <= Config.MaxInFlight.
-const (
-	GaugeStreamInFlight     = obs.GaugeStreamInFlight
-	GaugeStreamInFlightPeak = obs.GaugeStreamInFlightPeak
-	GaugeStreamShards       = obs.GaugeStreamShards
-)
-
 // LoadRepository reads a repository previously written with
 // XMLRepository.Save.
 func LoadRepository(dir string) (*XMLRepository, error) { return repository.Load(dir) }
