@@ -76,6 +76,9 @@ func TestGoldenBuildSharded(t *testing.T) {
 	if st := snap.Stages[obs.StageShardMerge]; st.Count != 1 {
 		t.Errorf("merge stage count = %d, want 1", st.Count)
 	}
+	if st := snap.Stages[obs.StageShardFinal]; st.Count != 1 {
+		t.Errorf("final concatenation stage count = %d, want 1", st.Count)
+	}
 	// The per-document stages saw exactly the golden corpus.
 	for _, stage := range []string{"pipeline.convert", "schema.extract", "map.conform"} {
 		if st := snap.Stages[stage]; st.Count != goldenDocs {

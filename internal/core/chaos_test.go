@@ -366,6 +366,19 @@ func TestBuildShardedCheckpointResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(shardDir(dir, 0), shardStateFile)); err != nil {
 		t.Fatalf("cancelled run left no checkpoint: %v", err)
 	}
+	// The resume refolds exactly the documents the checkpoints recorded as
+	// stored.
+	checkpointed := 0
+	for i := 0; i < opts.Shards; i++ {
+		if st, err := readShardState(shardDir(dir, i)); err != nil {
+			t.Fatal(err)
+		} else if st != nil {
+			checkpointed += st.Stored
+		}
+	}
+	if checkpointed == 0 {
+		t.Fatal("cancelled run checkpointed no stored documents; the refold is untested")
+	}
 
 	// Resume: each shard restarts after its checkpointed prefix, and the
 	// result matches the uninterrupted run byte for byte.
@@ -386,6 +399,12 @@ func TestBuildShardedCheckpointResume(t *testing.T) {
 	}
 	if coll.Counter(obs.CtrCheckpoints) == 0 {
 		t.Fatal("resumed build wrote no checkpoints")
+	}
+	if got := coll.Counter(obs.CtrShardRefolded); got != int64(checkpointed) {
+		t.Fatalf("shard.refolded = %d, want the %d checkpointed documents", got, checkpointed)
+	}
+	if got, want := coll.Snapshot().Stages[obs.StageShardResume].Count, coll.Counter(obs.CtrShardsResumed); got != want {
+		t.Fatalf("shard.resume spans = %d, want one per resumed shard (%d)", got, want)
 	}
 
 	// A rerun over the completed build directory still matches.

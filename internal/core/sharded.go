@@ -20,13 +20,14 @@ import (
 // The sharded build scales the pipeline to corpora that cannot be resident
 // in one process: N independent shard workers each convert a contiguous
 // range of the input, folding schema statistics into a mergeable
-// accumulator (tagged with global corpus indices) and appending converted
-// XML to a per-shard disk segment (repository.DiskStore). A merge step
-// folds the shard accumulators — the merge is exactly commutative, so the
-// mined schema and derived DTD are byte-identical to a single-process build
-// — and a second sharded pass maps each shard's converted documents to the
-// DTD into per-shard conformed segments, which concatenate in shard order
-// into the final disk-backed repository. Because shards cover contiguous
+// accumulator (samples tagged start + segment position, which follows
+// global corpus order) and appending converted XML to a per-shard disk
+// segment (repository.DiskStore). A merge step folds the shard
+// accumulators — the merge is exactly commutative, so the mined schema and
+// derived DTD are byte-identical to a single-process build — and a second
+// sharded pass maps each shard's converted documents to the DTD into
+// per-shard conformed segments, which concatenate in shard order into the
+// final disk-backed repository. Because shards cover contiguous
 // ranges, concatenation preserves global input order, and because xmlout
 // round-trips converted trees exactly, the final repository's documents are
 // byte-identical to Build + Export over the same sources.
@@ -40,7 +41,8 @@ import (
 // Each shard checkpoints durably (state.json + its flushed segment) every
 // CheckpointEvery documents, so a killed shard resumes from its last
 // checkpoint on the next BuildSharded over the same directory and the
-// completed build is still byte-identical to an uninterrupted one.
+// completed build is still byte-identical to an uninterrupted one. The
+// checkpoint holds no statistics: resume refolds them from the segment.
 
 // ShardOptions configures BuildSharded.
 type ShardOptions struct {
@@ -97,8 +99,9 @@ func (r *ShardResult) FailureRatio() float64 { return failureRatio(len(r.Quarant
 // BuildSharded over the same directory resumes it.
 var errShardKilled = errors.New("core: shard killed")
 
-// shardStateVersion guards the shard checkpoint format.
-const shardStateVersion = 1
+// shardStateVersion guards the shard checkpoint format. Version 1 files
+// still load; their serialized accumulator ("acc") is ignored.
+const shardStateVersion = 2
 
 // defaultCheckpointEvery is the number of documents a shard processes
 // between checkpoints when ShardOptions.CheckpointEvery is unset.
@@ -108,10 +111,10 @@ const defaultCheckpointEvery = 64
 const shardStateFile = "state.json"
 
 // shardState is a shard's durable checkpoint: where its range stands and
-// the accumulator fold so far. The converted XML lives beside it in the
-// conv/ disk segment; Stored is the authoritative segment length (a
-// resumed shard truncates the segment back to it, discarding any appends
-// after the last checkpoint).
+// its failure records. The converted XML lives beside it in the conv/
+// disk segment; Stored is the authoritative segment length (a resumed
+// shard truncates the segment back to it, discarding any appends after
+// the last checkpoint, and refolds the accumulator from what remains).
 type shardState struct {
 	Version int `json:"version"`
 	// Start and End delimit the shard's half-open source range; a resume
@@ -122,13 +125,12 @@ type shardState struct {
 	// appended to the conv segment (Done minus quarantined).
 	Done   int `json:"done"`
 	Stored int `json:"stored"`
-	// Acc is the shard accumulator's JSON encoding (schema.Accumulator's
-	// codec).
-	Acc json.RawMessage `json:"acc"`
 	// Quarantined and Degraded carry the shard's failure records so a
 	// resumed build still reports them.
 	Quarantined []FailureRecord `json:"quarantined,omitempty"`
 	Degraded    []FailureRecord `json:"degraded,omitempty"`
+	// acc is the shard's live accumulator; it is never persisted.
+	acc *schema.Accumulator
 }
 
 // shardDir names shard i's working directory under the build directory.
@@ -222,27 +224,18 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 	if err := p.checkBudget(len(res.Quarantined), res.TotalInput, sink); err != nil {
 		return nil, err
 	}
-	stored := 0
-	for _, st := range states {
-		stored += st.Stored
-	}
-	if stored == 0 {
-		return nil, fmt.Errorf("core: all %d documents quarantined", n)
-	}
 	sp := p.tr.StartSpan(obs.StageShardMerge)
 	merged := schema.NewAccumulator(0)
 	for i, st := range states {
-		acc := &schema.Accumulator{}
-		if err := json.Unmarshal(st.Acc, acc); err != nil {
-			sp.End()
-			return nil, fmt.Errorf("core: shard %d accumulator: %w", i, err)
-		}
-		if err := merged.Merge(acc); err != nil {
+		if err := merged.Merge(st.acc); err != nil {
 			sp.End()
 			return nil, fmt.Errorf("core: shard %d merge: %w", i, err)
 		}
 	}
 	sp.End()
+	if merged.Docs() == 0 {
+		return nil, fmt.Errorf("core: all %d documents quarantined", n)
+	}
 	res.Schema = p.MineStats(merged)
 	res.DTD = p.DeriveDTD(res.Schema)
 
@@ -279,6 +272,8 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 	// final disk-backed repository. Contiguous shard ranges make this a
 	// pure concatenation — global input order is preserved without any
 	// reordering step.
+	sp = p.tr.StartSpan(obs.StageShardFinal)
+	defer sp.End()
 	finalDir := filepath.Join(opts.Dir, "final")
 	storeOpts := opts.Store
 	if storeOpts.Tracer == nil {
@@ -325,11 +320,11 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 
 // runShardConvert is one shard's convert phase: process the shard's
 // contiguous source range sequentially, folding statistics into the shard
-// accumulator (tagged with global corpus indices) and appending converted
-// XML to the shard's conv/ segment, checkpointing durably every
-// opts.CheckpointEvery documents. An existing checkpoint for the same
-// range resumes: the segment is truncated back to the checkpoint's
-// watermark and already-processed sources are skipped.
+// accumulator and appending converted XML to the shard's conv/ segment,
+// checkpointing durably every opts.CheckpointEvery documents. An existing
+// checkpoint for the same range resumes: the accumulator is refolded from
+// the segment's checkpointed prefix, the segment is truncated back to it,
+// and already-processed sources are skipped.
 func (p *Pipeline) runShardConvert(ctx context.Context, shard, n int, at func(int) (Source, error), opts ShardOptions, sink *failureSink) (*shardState, error) {
 	sp := p.tr.StartSpan(obs.ShardStage(obs.StageShardConvert, shard))
 	defer sp.End()
@@ -337,7 +332,7 @@ func (p *Pipeline) runShardConvert(ctx context.Context, shard, n int, at func(in
 	dir := shardDir(opts.Dir, shard)
 	convDir := filepath.Join(dir, "conv")
 
-	st, acc, conv, err := p.openShardState(dir, convDir, start, end, sink)
+	st, conv, err := p.openShardState(shard, dir, convDir, start, end, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -347,11 +342,6 @@ func (p *Pipeline) runShardConvert(ctx context.Context, shard, n int, at func(in
 		if err := conv.Flush(); err != nil {
 			return fmt.Errorf("core: shard %d flush: %w", shard, err)
 		}
-		enc, err := json.Marshal(acc)
-		if err != nil {
-			return fmt.Errorf("core: shard %d checkpoint: %w", shard, err)
-		}
-		st.Acc = enc
 		return writeShardState(dir, st)
 	}
 	sinceCkpt := 0
@@ -376,7 +366,7 @@ func (p *Pipeline) runShardConvert(ctx context.Context, shard, n int, at func(in
 				sink.degrade(*degraded)
 				st.Degraded = append(st.Degraded, *degraded)
 			}
-			acc.Add(start+i, p.ExtractPaths(d))
+			st.acc.Add(start+st.Stored, p.ExtractPaths(d))
 			if err := conv.Append(src.Name, d.XML); err != nil {
 				return nil, fmt.Errorf("core: shard %d: %w", shard, err)
 			}
@@ -406,43 +396,51 @@ func (p *Pipeline) runShardConvert(ctx context.Context, shard, n int, at func(in
 }
 
 // openShardState resumes shard state from dir when a checkpoint for the
-// same source range exists (truncating the conv segment back to the
-// checkpoint watermark and re-registering its failure records), and starts
-// fresh when there is no checkpoint or it covers a different range (a
-// rerun with another shard count). A checkpoint that cannot be read or
-// decoded, or has an unknown version, is an error: the conv segment is
-// left untouched rather than silently rebuilt.
-func (p *Pipeline) openShardState(dir, convDir string, start, end int, sink *failureSink) (*shardState, *schema.Accumulator, *repository.DiskStore, error) {
+// same source range exists (refolding the accumulator from the checkpointed
+// documents, truncating the conv segment back to them and re-registering
+// the failure records), and starts fresh when there is none or it covers a
+// different range (a rerun with another shard count). A checkpoint that
+// cannot be read, decoded or refolded, or has an unknown version, is an
+// error: the conv segment is left untouched rather than silently rebuilt.
+func (p *Pipeline) openShardState(shard int, dir, convDir string, start, end int, sink *failureSink) (*shardState, *repository.DiskStore, error) {
 	st, err := readShardState(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if st == nil || st.Start != start || st.End != end {
 		conv, err := repository.CreateDiskStore(convDir, repository.DiskOptions{MaxResidentDocs: -1, Tracer: p.tr})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		st := &shardState{Version: shardStateVersion, Start: start, End: end}
-		return st, schema.NewAccumulator(0), conv, nil
+		return &shardState{Version: shardStateVersion, Start: start, End: end, acc: schema.NewAccumulator(0)}, conv, nil
 	}
-	acc := &schema.Accumulator{}
-	if err := json.Unmarshal(st.Acc, acc); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: shard resume: %w", err)
-	}
+	sp := p.tr.StartSpan(obs.StageShardResume)
+	defer sp.End()
 	conv, err := repository.OpenDiskStore(convDir, repository.DiskOptions{MaxResidentDocs: -1, Tracer: p.tr})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if conv.Len() < st.Stored {
 		// The segment lost appends the state already covers — the
 		// checkpoint protocol flushes the segment before the state, so
 		// this means external tampering, not a crash.
 		conv.Close()
-		return nil, nil, nil, fmt.Errorf("core: shard resume: segment holds %d documents, checkpoint expects %d", conv.Len(), st.Stored)
+		return nil, nil, fmt.Errorf("core: shard %d resume: segment holds %d documents, checkpoint expects %d", shard, conv.Len(), st.Stored)
+	}
+	// Refold before truncating, so a document that cannot be read back
+	// fails the resume with the segment still as the crash left it.
+	st.Version, st.acc = shardStateVersion, schema.NewAccumulator(0)
+	for j := 0; j < st.Stored; j++ {
+		root, err := conv.Doc(j)
+		if err != nil {
+			conv.Close()
+			return nil, nil, fmt.Errorf("core: shard %d resume: document %d (%s): %w", shard, j, conv.Name(j), err)
+		}
+		st.acc.Add(start+j, p.ExtractPaths(&Document{Source: conv.Name(j), XML: root}))
 	}
 	if err := conv.TruncateDocs(st.Stored); err != nil {
 		conv.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	sink.restoreQuarantined(st.Quarantined)
 	for _, rec := range st.Degraded {
@@ -450,8 +448,9 @@ func (p *Pipeline) openShardState(dir, convDir string, start, end int, sink *fai
 	}
 	if p.tr.Enabled() {
 		p.tr.Add(obs.CtrShardsResumed, 1)
+		p.tr.Add(obs.CtrShardRefolded, int64(st.Stored))
 	}
-	return st, acc, conv, nil
+	return st, conv, nil
 }
 
 // readShardState loads the shard checkpoint in dir; (nil, nil) means there
@@ -469,8 +468,8 @@ func readShardState(dir string) (*shardState, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("core: shard resume: %s: %w", path, err)
 	}
-	if st.Version != shardStateVersion {
-		return nil, fmt.Errorf("core: shard resume: %s: state version %d not supported (want %d)", path, st.Version, shardStateVersion)
+	if st.Version < 1 || st.Version > shardStateVersion {
+		return nil, fmt.Errorf("core: shard resume: %s: state version %d not supported (want 1..%d)", path, st.Version, shardStateVersion)
 	}
 	return &st, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -16,6 +17,7 @@ import (
 	"webrev/internal/faultinject"
 	"webrev/internal/obs"
 	"webrev/internal/repository"
+	"webrev/internal/schema"
 	"webrev/internal/xmlout"
 )
 
@@ -481,4 +483,251 @@ func readTree(t *testing.T, dir string) map[string]string {
 		t.Fatalf("%s holds no files", dir)
 	}
 	return out
+}
+
+// TestBuildShardedResumesV1State: a version-1 shard checkpoint, which also
+// carried a serialized accumulator, still resumes, and its accumulator is
+// ignored in favour of refolding the conv segment. The hand-made "acc"
+// here folds a single unrelated document, so using it would change the
+// output.
+func TestBuildShardedResumesV1State(t *testing.T) {
+	sources := corpusSources(30, 17)
+	want := renderDiskRepo(t, singleProcessRepo(t, sources))
+	dir := t.TempDir()
+	opts := ShardOptions{Shards: 2, Dir: dir, CheckpointEvery: 4}
+	killed := opts
+	killed.kill = func(shard, done int) bool { return shard == 1 && done == 7 }
+	p := resumePipeline(t)
+	if _, err := p.BuildSharded(context.Background(), sources, killed); !errors.Is(err, errShardKilled) {
+		t.Fatalf("killed build returned %v, want errShardKilled", err)
+	}
+
+	path := filepath.Join(shardDir(dir, 1), shardStateFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 map[string]any
+	if err := json.Unmarshal(data, &v1); err != nil {
+		t.Fatal(err)
+	}
+	d, _, failed := p.ConvertSource(corpusSources(1, 99)[0])
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	stale := schema.NewAccumulator(0)
+	stale.Add(0, p.ExtractPaths(d))
+	v1["version"], v1["acc"] = 1, stale
+	if data, err = json.Marshal(v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	coll := obs.NewCollector()
+	rp, err := New(testConfig(coll, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rp.BuildSharded(context.Background(), sources, opts)
+	if err != nil {
+		t.Fatalf("resume over a v1 checkpoint: %v", err)
+	}
+	defer res.Repo.Store().Close()
+	if got := renderDiskRepo(t, res.Repo); got != want {
+		t.Fatal("resume over a v1 checkpoint differs from the single-process build")
+	}
+	if got := coll.Counter(obs.CtrShardsResumed); got < 1 {
+		t.Fatalf("shard.resumed = %d, want >= 1", got)
+	}
+	// The next checkpoint rewrote the state as the current version.
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 map[string]any
+	if err := json.Unmarshal(data, &v2); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := v2["acc"]; ok || v2["version"] != float64(shardStateVersion) {
+		t.Fatalf("rewritten checkpoint: version %v, has acc %v; want version %d without acc", v2["version"], ok, shardStateVersion)
+	}
+}
+
+// TestShardRefoldMatchesUninterrupted kills shard 0 at several points,
+// including right before and right after a quarantined document, and
+// checks that the accumulator refolded from the checkpointed segment
+// marshals to the same JSON as the live accumulator of an uninterrupted
+// shard that stopped at the same Done.
+func TestShardRefoldMatchesUninterrupted(t *testing.T) {
+	sources := chaosSources(40, 31)
+	newPipeline := func() *Pipeline {
+		p, err := New(chaosConfig(faultinject.NewStage(faultinject.StageConfig{
+			Seed:         17,
+			Rate:         0.15,
+			Stages:       []string{obs.StageConvert},
+			FaultsPerKey: -1,
+		}), nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const shard0 = 20 // shard 0 of a 2-shard split covers [0, 20)
+	full, err := newPipeline().Build(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarantined := quarantinedNames(full.Quarantined)
+	q := -1
+	for i := 1; i < shard0-1 && q < 0; i++ {
+		if quarantined[sources[i].Name] {
+			q = i
+		}
+	}
+	if q < 0 {
+		t.Fatal("no quarantined document inside shard 0; the test needs one")
+	}
+	at := func(i int) (Source, error) { return sources[i], nil }
+
+	for _, done := range []int{1, q, q + 1, 13, shard0 - 1} {
+		dir := t.TempDir()
+		p := newPipeline()
+		// Checkpoint after every document and die one document past done,
+		// so the durable state stops exactly at done.
+		_, err := p.BuildShardedFrom(context.Background(), len(sources), at, ShardOptions{
+			Shards: 2, Dir: dir, CheckpointEvery: 1,
+			kill: func(shard, d int) bool { return shard == 0 && d == done+1 },
+		})
+		if !errors.Is(err, errShardKilled) {
+			t.Fatalf("done=%d: killed build returned %v, want errShardKilled", done, err)
+		}
+		sink, err := p.openFailureSink()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sdir := shardDir(dir, 0)
+		resumed, conv, err := p.openShardState(0, sdir, filepath.Join(sdir, "conv"), 0, shard0, sink)
+		if err != nil {
+			t.Fatalf("done=%d: %v", done, err)
+		}
+		conv.Close()
+
+		// The reference is shard 0 run to completion over exactly its first
+		// done sources: same start, same documents, never interrupted.
+		ref, err := p.runShardConvert(context.Background(), 0, done, at,
+			ShardOptions{Shards: 1, Dir: t.TempDir(), CheckpointEvery: 1}, sink)
+		if err != nil {
+			t.Fatalf("done=%d: reference shard: %v", done, err)
+		}
+		if resumed.Done != done || resumed.Stored != ref.Stored {
+			t.Fatalf("done=%d: resumed state done=%d stored=%d, reference stored=%d",
+				done, resumed.Done, resumed.Stored, ref.Stored)
+		}
+		got, err := json.Marshal(resumed.acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(ref.acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("done=%d: refolded accumulator differs from the uninterrupted shard's", done)
+		}
+	}
+}
+
+// TestShardStateSizeFlat: with no failures a shard checkpoint is the same
+// size, up to the digits of its counts, whether the shard holds 100 or
+// 1200 documents — the state carries no per-path statistics.
+func TestShardStateSizeFlat(t *testing.T) {
+	size := map[int]int64{}
+	for _, n := range []int{100, 1200} {
+		sources := corpusSources(n, 5)
+		p := resumePipeline(t)
+		sink, err := p.openFailureSink()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		st, err := p.runShardConvert(context.Background(), 0, n, func(i int) (Source, error) {
+			return sources[i], nil
+		}, ShardOptions{Shards: 1, Dir: dir, CheckpointEvery: defaultCheckpointEvery}, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Quarantined)+len(st.Degraded) != 0 {
+			t.Fatalf("n=%d: %d failure records; the test needs a failure-free shard", n, len(st.Quarantined)+len(st.Degraded))
+		}
+		fi, err := os.Stat(filepath.Join(shardDir(dir, 0), shardStateFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[n] = fi.Size()
+	}
+	// end, done and stored each gain one digit from 100 to 1200.
+	if d := size[1200] - size[100]; d < 0 || d > 3 {
+		t.Fatalf("state.json is %d bytes at 100 documents and %d at 1200; want equal up to 3 digits",
+			size[100], size[1200])
+	}
+}
+
+// TestBuildShardedResumeCorruptBlob: a checkpointed document whose blob
+// no longer decodes fails the resume with an error naming the shard and
+// the document, leaves the conv segment untouched and writes no final
+// repository — the refold never skips a document it cannot read.
+func TestBuildShardedResumeCorruptBlob(t *testing.T) {
+	sources := corpusSources(30, 17)
+	dir := t.TempDir()
+	opts := ShardOptions{Shards: 2, Dir: dir, CheckpointEvery: 4}
+	killed := opts
+	killed.kill = func(shard, done int) bool { return shard == 0 && done == 7 }
+	if _, err := resumePipeline(t).BuildSharded(context.Background(), sources, killed); !errors.Is(err, errShardKilled) {
+		t.Fatalf("killed build returned %v, want errShardKilled", err)
+	}
+
+	// Overwrite the blob of document 2, inside the 4-document checkpoint.
+	convDir := filepath.Join(shardDir(dir, 0), "conv")
+	index, err := os.ReadFile(filepath.Join(convDir, "index.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(index), "\n") // header, then one line per document
+	var entry struct {
+		Name string `json:"name"`
+		Off  int64  `json:"off"`
+		Len  int    `json:"len"`
+	}
+	if err := json.Unmarshal([]byte(lines[1+2]), &entry); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.OpenFile(filepath.Join(convDir, "segment.blob"), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.WriteAt(bytes.Repeat([]byte("<"), entry.Len), entry.Off); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, convDir)
+
+	_, err = resumePipeline(t).BuildSharded(context.Background(), sources, opts)
+	if err == nil {
+		t.Fatal("resume over a corrupt checkpointed blob succeeded")
+	}
+	for _, want := range []string{"shard 0", "document 2", entry.Name} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("resume error %q does not name %q", err, want)
+		}
+	}
+	if after := readTree(t, convDir); !maps.Equal(before, after) {
+		t.Fatal("failed resume rewrote the shard's conv segment")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "final")); !os.IsNotExist(err) {
+		t.Fatalf("failed resume wrote a final repository (err=%v)", err)
+	}
 }

@@ -80,9 +80,16 @@ const (
 	// StageShardMap times one shard worker's whole DTD-guided mapping pass
 	// over its converted segment in a sharded build.
 	StageShardMap = "shard.map"
-	// StageShardMerge times folding the per-shard conformed segments into
-	// the final content-addressed store of a sharded build.
+	// StageShardMerge times merging the per-shard schema accumulators
+	// into one before mining in a sharded build.
 	StageShardMerge = "shard.merge"
+	// StageShardResume times a resumed shard reopening its conv segment and
+	// refolding its accumulator from the checkpointed documents (once per
+	// resumed shard, inside that shard's convert span).
+	StageShardResume = "shard.resume"
+	// StageShardFinal times concatenating the conformed shard segments, in
+	// shard order, into the final disk store of a sharded build.
+	StageShardFinal = "shard.final"
 )
 
 // ShardStage returns the per-shard stage name under which one shard
@@ -175,6 +182,9 @@ const (
 	// CtrShardsResumed counts shard workers of a sharded build that resumed
 	// from a previous run's checkpoint instead of starting fresh.
 	CtrShardsResumed = "shard.resumed"
+	// CtrShardRefolded counts documents a resumed shard read back from its
+	// conv segment to rebuild its accumulator.
+	CtrShardRefolded = "shard.refolded"
 )
 
 // Canonical gauge names. Gauges record point-in-time levels (Set), not
