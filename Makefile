@@ -123,10 +123,12 @@ chaos:
 # rewrites ~20% of a site's templates mid-watch; the next cycle must detect
 # every mutated page, emit a drift report matching the pinned golden
 # (internal/watch/testdata/chaos_drift.golden), keep the quarantine budget
-# untouched, and resume cleanly from its state directory after a kill. See
+# untouched, and resume cleanly from its state directory after a kill; a
+# save interrupted before its manifest rename must resume to a cold
+# build's repository, even when the site reverts its pages meanwhile. See
 # ARCHITECTURE.md §7, "Continuous operation".
 chaos-drift:
-	$(GO) test -run TestWatchChaosDrift ./internal/watch/
+	$(GO) test -run 'TestWatchChaosDrift|TestWatchInterruptedSave' ./internal/watch/
 
 # Serving-layer chaos gate, always under -race: 4x overload must shed with
 # 503s while admitted requests keep a bounded p99, injected handler panics
@@ -137,8 +139,9 @@ chaos-serve:
 	$(GO) test -race -run TestChaos ./internal/serve/
 
 # Recrawl-cycle snapshot: steady-state (all-304) and 20%-delta watch cycles
-# against the cold full-rebuild baseline, written as BENCH_recrawl.json for
-# the CI bench-regression job.
+# (the latter also with a state directory, so the save is timed) against the
+# cold full-rebuild baseline, written as BENCH_recrawl.json for the CI
+# bench-regression job.
 bench-recrawl:
 	$(GO) test -run '^$$' -bench BenchmarkRecrawl -benchmem -count 3 \
 		./internal/watch/ | tee /tmp/bench_recrawl.txt

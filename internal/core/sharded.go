@@ -480,11 +480,7 @@ func writeShardState(dir string, st *shardState) error {
 	if err != nil {
 		return fmt.Errorf("core: shard checkpoint: %w", err)
 	}
-	tmp := filepath.Join(dir, shardStateFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("core: shard checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, shardStateFile)); err != nil {
+	if err := repository.WriteFileAtomic(filepath.Join(dir, shardStateFile), data); err != nil {
 		return fmt.Errorf("core: shard checkpoint: %w", err)
 	}
 	return nil

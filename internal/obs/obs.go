@@ -73,6 +73,14 @@ const (
 	// recrawl, delta fold, incremental re-derive, drift report) of the
 	// watch loop (internal/watch).
 	StageWatch = "watch.cycle"
+	// StageWatchSave times writing the watch state directory at the end of
+	// a cycle (inside that cycle's span): new document files, the manifest,
+	// then the removal of files it no longer references.
+	StageWatchSave = "watch.save"
+	// StageWatchLoad times a watcher restoring its state directory in
+	// watch.New: decoding the live documents and refolding the delta
+	// accumulator from them.
+	StageWatchLoad = "watch.load"
 	// StageShardConvert times one shard worker's whole convert+fold pass
 	// over its source range in a sharded build (core.BuildSharded). The
 	// per-shard span names come from ShardStage.
@@ -144,6 +152,9 @@ const (
 	CtrWatchDocsVanished  = "watch.docs.vanished"        // pages retired by a cycle
 	CtrWatchDriftNew      = "watch.drift.paths.new"      // frequent paths appearing in drift reports
 	CtrWatchDriftVanished = "watch.drift.paths.vanished" // frequent paths vanishing in drift reports
+	// CtrWatchRefolded counts documents a watcher read back from its state
+	// directory on load to rebuild its delta accumulator.
+	CtrWatchRefolded = "watch.refolded"
 	// Serving-layer counters (webrevd / internal/serve).
 	CtrServeRequests    = "serve.requests"     // requests served, all endpoints
 	CtrServeErrors      = "serve.errors"       // requests answered with a 4xx/5xx

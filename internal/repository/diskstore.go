@@ -399,11 +399,7 @@ func (s *DiskStore) TruncateDocs(n int) error {
 		rewrite.Write(line)
 		rewrite.WriteByte('\n')
 	}
-	tmp := filepath.Join(s.dir, diskIndexFile+".tmp")
-	if err := os.WriteFile(tmp, rewrite.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("repository: disk store truncate: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, diskIndexFile)); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.dir, diskIndexFile), rewrite.Bytes()); err != nil {
 		return fmt.Errorf("repository: disk store truncate: %w", err)
 	}
 	s.idx.Close()

@@ -154,6 +154,18 @@ func SaveDTDFile(dir string, d *dtd.DTD) error {
 	return os.WriteFile(filepath.Join(dir, dtdFile), []byte(d.Render()), 0o644)
 }
 
+// WriteFileAtomic replaces the file at path with data by writing
+// path+".tmp" and renaming it over path, so a process crash leaves either
+// the old file or the new one. It does not fsync, so an operating-system
+// crash can still lose or tear the write.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
 // LoadDisk opens a disk-backed repository: the DTD from dir/schema.dtd and
 // the documents from the disk store (index.log + segment.blob) in the same
 // directory. Documents are not re-validated — they were validated when the

@@ -37,9 +37,17 @@ func BenchmarkRecrawlSteady(b *testing.B) {
 
 // BenchmarkRecrawlDelta mutates ~20% of the templates before every cycle:
 // the changed documents refetch, retire, and refold; the rest revalidate.
-func BenchmarkRecrawlDelta(b *testing.B) {
+func BenchmarkRecrawlDelta(b *testing.B) { benchRecrawlDelta(b, "") }
+
+// BenchmarkRecrawlDeltaPersisted is BenchmarkRecrawlDelta with a state
+// directory, so every cycle also pays for its save.
+func BenchmarkRecrawlDeltaPersisted(b *testing.B) { benchRecrawlDelta(b, b.TempDir()) }
+
+// benchRecrawlDelta times delta cycles of a watcher persisting to stateDir
+// (empty keeps state in memory only).
+func benchRecrawlDelta(b *testing.B, stateDir string) {
 	site, srv := newSite(b, benchCorpus, 1)
-	w := newWatcher(b, srv, Options{})
+	w := newWatcher(b, srv, Options{StateDir: stateDir})
 	if _, err := w.Cycle(context.Background()); err != nil {
 		b.Fatal(err)
 	}

@@ -15,9 +15,10 @@
 // that a source site redesigned its templates.
 //
 // State persists between process lives in a versioned directory manifest
-// (see state.go): the crawl validators, the delta accumulator, and every
-// live converted document. A Watcher pointed at an existing state directory
-// resumes exactly where the previous one stopped.
+// (see state.go): the crawl validators and every live converted document.
+// A Watcher pointed at an existing state directory refolds its delta
+// accumulator from those documents and resumes exactly where the previous
+// one stopped.
 package watch
 
 import (
@@ -57,11 +58,14 @@ type Options struct {
 	Tracer obs.Tracer
 }
 
-// docEntry is one live corpus document: its stable accumulator index and
-// its converted form.
+// docEntry is one live corpus document: its stable accumulator index, the
+// file slot it is persisted in, its converted form, and whether that form
+// changed since the last save.
 type docEntry struct {
-	idx int
-	doc *core.Document
+	idx   int
+	slot  int
+	doc   *core.Document
+	dirty bool
 }
 
 // Watcher runs continuous-operation cycles. Not safe for concurrent use;
@@ -80,10 +84,6 @@ type Watcher struct {
 	prevSupports map[string]float64
 	prevDTD      string
 	prevSites    map[string]siteRate
-
-	// Pending state-directory mutations, flushed by save.
-	dirty   map[int]*core.Document
-	removed map[int]bool
 }
 
 // Result is one completed cycle's output.
@@ -100,8 +100,7 @@ type Result struct {
 }
 
 // New returns a Watcher over opt, resuming from opt.StateDir when it holds
-// a previous life's state (either the watch format or a legacy version-1
-// checkpoint, which migrates — see Load in state.go).
+// a previous life's state (any manifest version — see load in state.go).
 func New(opt Options) (*Watcher, error) {
 	if opt.Pipeline == nil || opt.Crawler == nil || opt.Seed == "" {
 		return nil, fmt.Errorf("watch: Pipeline, Crawler, and Seed are required")
@@ -114,8 +113,6 @@ func New(opt Options) (*Watcher, error) {
 		docs:         make(map[string]*docEntry),
 		prevSupports: make(map[string]float64),
 		prevSites:    make(map[string]siteRate),
-		dirty:        make(map[int]*core.Document),
-		removed:      make(map[int]bool),
 	}
 	if opt.StateDir != "" {
 		if err := w.load(); err != nil {
@@ -152,15 +149,13 @@ func (w *Watcher) entries() []*docEntry {
 	return out
 }
 
-// retire removes one live document: its statistics leave the accumulator
-// and its persisted file is marked for removal.
+// retire removes one live document: its statistics leave the accumulator,
+// and the next save drops its persisted file.
 func (w *Watcher) retire(u string, e *docEntry) error {
 	if err := w.acc.Subtract(e.idx, w.opt.Pipeline.ExtractPaths(e.doc)); err != nil {
 		return fmt.Errorf("watch: retire %s: %w", u, err)
 	}
 	delete(w.docs, u)
-	delete(w.dirty, e.idx)
-	w.removed[e.idx] = true
 	return nil
 }
 
@@ -229,14 +224,13 @@ func (w *Watcher) Cycle(ctx context.Context) (*Result, error) {
 				}
 				ent.doc = d
 				w.acc.Add(ent.idx, w.opt.Pipeline.ExtractPaths(d))
-				w.dirty[ent.idx] = d
+				ent.dirty = true
 				delta.Changed++
 			} else {
-				e := &docEntry{idx: w.next, doc: d}
+				e := &docEntry{idx: w.next, doc: d, dirty: true}
 				w.next++
 				w.docs[pg.URL] = e
 				w.acc.Add(e.idx, w.opt.Pipeline.ExtractPaths(d))
-				w.dirty[e.idx] = d
 				delta.New++
 			}
 		}

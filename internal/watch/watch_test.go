@@ -287,7 +287,7 @@ func TestWatchStateV1Migration(t *testing.T) {
 		if failed != nil {
 			t.Fatalf("convert %s: %s", path, failed.Err)
 		}
-		if err := os.WriteFile(docFile(dir, idx), []byte(xmlout.Marshal(d.XML)), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, docFile(idx, 0)), []byte(xmlout.Marshal(d.XML)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		docs = append(docs, v1Doc{Idx: idx, Source: srv.URL + path})
@@ -296,7 +296,7 @@ func TestWatchStateV1Migration(t *testing.T) {
 	// One checkpointed document the site no longer serves.
 	gone, _, _ := p.ConvertSource(core.Source{Name: srv.URL + "/resumes/gone.html",
 		HTML: docs0HTML(t, site)})
-	if err := os.WriteFile(docFile(dir, idx), []byte(xmlout.Marshal(gone.XML)), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, docFile(idx, 0)), []byte(xmlout.Marshal(gone.XML)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	docs = append(docs, v1Doc{Idx: idx, Source: srv.URL + "/resumes/gone.html"})
@@ -319,7 +319,7 @@ func TestWatchStateV1Migration(t *testing.T) {
 	if got, want := renderRepo(res.Repo), renderRepo(coldRepo(t, w, site, srv.URL)); got != want {
 		t.Fatal("migrated state diverges from cold build")
 	}
-	// The next life loads as version 2.
+	// The next life loads the rewritten (current-version) manifest.
 	w2 := newWatcher(t, srv, Options{StateDir: dir})
 	if w2.Cycles() != 1 || w2.Docs() != w.Docs() {
 		t.Fatalf("v2 reload: cycles %d docs %d, want 1/%d", w2.Cycles(), w2.Docs(), w.Docs())
